@@ -31,6 +31,11 @@ for k in range(1, 7):
     print(f"  eps=1e-{k}: m = {cert.m:>3}, achieved bound {cert.tail_bound:.6e}")
     assert cert.satisfied
 
+print("\nNear t = N the order grows roughly like 1/(1 - t/N); the search stays O(log m)")
+for t_near in (2.9, 2.99, 2.999):
+    cert = choose_truncation(t_near, 1e-3, N, "o", BoundParams(D=1.0))
+    print(f"  t={t_near:<5}: m = {cert.m:>5}, achieved bound {cert.tail_bound:.6e}")
+
 print("\nThe unitary side uses the same envelope with its own constant R")
 cert = choose_truncation(t, 1e-3, N, "u", BoundParams(R=2.0))
 print(f"  R=2, eps=1e-3: m = {cert.m}, bound {cert.tail_bound:.6e}")

@@ -201,26 +201,45 @@ def a_coeff(w: str, t, N, t0=DEFAULT_T0) -> float:
 
 
 def tail_sup(coef, ratio, from_level) -> float:
-    """sup over n >= from_level of (n+1)^2 * coef * ratio**n, by certified scan.
+    """sup over n >= from_level of (n+1)^2 * coef * ratio**n, in O(1) steps.
 
-    The scan walks n upward keeping the running maximum and stops as soon as
-    (n+2)^2 * ratio < (n+1)^2, from which point the sequence is strictly
-    decreasing forever.  Returns inf when ratio >= 1 (and coef > 0).
+    The real function (x+1)^2 * ratio**x is unimodal with its peak at
+    n* = -2/ln(ratio) - 1, so the supremum is attained at from_level or at an
+    integer next to n*.  After from_level, the scan jumps to
+    max(from_level, floor(n*) - 3) and walks upward keeping the running
+    maximum until (n+2)^2 * ratio < (n+1)^2, from which point the sequence
+    decreases forever; that takes a few steps.  The skipped levels lie before
+    the peak, where each term exceeds its predecessor by a relative
+    7/(n*)^2 or more, far above rounding while n* is below about 1e7
+    (ratio below 1 - 2e-7), so the result is bit-identical to a scan from
+    from_level.  A few ulps below ratio = 1 rounding can keep the stop test
+    failing for millions of levels, so the walk also ends once n > n* + 2.
+    Returns inf when ratio >= 1 (and coef > 0).
     """
     from_level = as_nonneg_int(from_level, "from_level")
     coef = float(coef)
     ratio = float(ratio)
-    if coef < 0.0 or ratio < 0.0:
-        raise DomainError("tail_sup needs coef >= 0 and ratio >= 0")
+    if not (0.0 <= coef < math.inf and ratio >= 0.0):
+        raise DomainError(f"tail_sup needs finite coef >= 0 and ratio >= 0, got {coef}, {ratio}")
     if coef == 0.0:
         return 0.0
     if ratio >= 1.0:
         return math.inf
-    best = 0.0
-    n = from_level
+
+    def term(n):
+        try:
+            return (n + 1) ** 2 * coef * ratio**n
+        except OverflowError:
+            raise DomainError(f"tail_sup term at level {n} overflows a double") from None
+
+    best = max(0.0, term(from_level))
+    if ratio == 0.0:
+        return best
+    peak = -2.0 / math.log(ratio) - 1.0
+    n = max(from_level, math.floor(peak) - 3)
     while True:
-        best = max(best, (n + 1) ** 2 * coef * ratio**n)
-        if (n + 2) ** 2 * ratio < (n + 1) ** 2:
+        best = max(best, term(n))
+        if (n + 2) ** 2 * ratio < (n + 1) ** 2 or n > peak + 2:
             return best
         n += 1
 
@@ -274,8 +293,8 @@ class BoundParams:
             value = getattr(self, name)
             if value is not None:
                 value = float(value)
-                if value <= 0.0:
-                    raise DomainError(f"{name} must be > 0, got {value}")
+                if not 0.0 < value < math.inf:
+                    raise DomainError(f"{name} must be finite and > 0, got {value}")
                 object.__setattr__(self, name, value)
         object.__setattr__(self, "t0", _check_t0(self.t0))
 
@@ -314,41 +333,62 @@ def _check_tail_args(t, m, N, bounds: BoundParams):
     return t, m, N
 
 
+def _tail_bound(group: Group, t, m, N, bounds: BoundParams) -> float:
+    t, m, N = _check_tail_args(t, m, N, bounds)
+    ka_tail = tail_sup(decay_constant(bounds.t0), t / N, m + 1)
+    bound = ultra_bound(ka_tail, bounds.require(group))
+    if math.isnan(bound):
+        # pi * constant overflowed to inf and met a tail that underflowed to 0
+        raise DomainError(f"tail bound at m={m} is NaN: the rapid-decay constant is too large")
+    return bound
+
+
 def tail_bound_orth(t, m, N, bounds: BoundParams) -> float:
     """Certified bound on the norm of the orthogonal net minus its order-m truncation.
 
     Equals pi*D/sqrt(6) * sup over n > m of (n+1)^2 * C_t0 * (t/N)**n; it is
     monotone non-increasing in m and converges to 0.
     """
-    t, m, N = _check_tail_args(t, m, N, bounds)
-    ka_tail = tail_sup(decay_constant(bounds.t0), t / N, m + 1)
-    return ultra_bound(ka_tail, bounds.require(Group.ORTH))
+    return _tail_bound(Group.ORTH, t, m, N, bounds)
 
 
 def tail_bound_unitary(t, m, N, bounds: BoundParams) -> float:
     """Certified bound on the norm of the unitary net minus its order-m truncation."""
-    t, m, N = _check_tail_args(t, m, N, bounds)
-    ka_tail = tail_sup(decay_constant(bounds.t0), t / N, m + 1)
-    return ultra_bound(ka_tail, bounds.require(Group.UNIT))
+    return _tail_bound(Group.UNIT, t, m, N, bounds)
 
 
 def choose_truncation(t, eps, N, group, bounds: BoundParams) -> TruncationCertificate:
     """Smallest truncation order whose tail bound is at most eps.
 
-    The bound decreases to 0 in the order, so the scan terminates; the
-    returned certificate carries the bound value actually achieved.
+    The bound is non-increasing in m and falls to 0, so after the m = 0 check
+    exponential search (m = 1, 2, 4, ...) brackets the smallest sufficient
+    order and bisection of the last bracket finds it, in O(log m) bound
+    evaluations.  The search returns the order a scan m = 0, 1, 2, ... would:
+    in floats the bound can rise by an ulp at the one order where the
+    envelope's stop test first passes, but every smaller order then shares
+    the bound at m = 0, which is checked first.  The returned certificate
+    carries the bound value actually achieved.
     """
     eps = float(eps)
-    if eps <= 0.0:
-        raise DomainError(f"eps must be > 0, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"eps must be finite and > 0, got {eps}")
     group = Group.coerce(group)
     bound_fn = tail_bound_orth if group is Group.ORTH else tail_bound_unitary
-    m = 0
-    while True:
-        bound = bound_fn(t, m, N, bounds)
-        if bound <= eps:
-            return TruncationCertificate(t=float(t), m=m, tail_bound=bound, target_eps=eps)
-        m += 1
+    bound = bound_fn(t, 0, N, bounds)
+    if bound <= eps:
+        return TruncationCertificate(t=float(t), m=0, tail_bound=bound, target_eps=eps)
+    lo, hi = 0, 1
+    while (bound := bound_fn(t, hi, N, bounds)) > eps:
+        lo, hi = hi, 2 * hi
+    # bound(lo) > eps >= bound(hi) == bound
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        mid_bound = bound_fn(t, mid, N, bounds)
+        if mid_bound <= eps:
+            hi, bound = mid, mid_bound
+        else:
+            lo = mid
+    return TruncationCertificate(t=float(t), m=hi, tail_bound=bound, target_eps=eps)
 
 
 def truncated_coeffs(group, t, m, N, t0=DEFAULT_T0, entry_cap=DEFAULT_ENTRY_CAP) -> MultiplierCoeffs:
@@ -389,7 +429,7 @@ def approx_identity_weights(group, t, m, N, t0=DEFAULT_T0, entry_cap=DEFAULT_ENT
         raise DomainError(f"t must lie in [{t0}, {N}), got {t}")
     if group is Group.ORTH:
         return [
-            (n, coeff_ratio(n, t, N, t0) * float(dim_orth(n, N)))
+            (n, coeff_ratio(n, t, N, t0) * _float_dim(dim_orth(n, N), n))
             for n in range(m + 1)
         ]
     count = 2 ** (m + 1) - 1
@@ -398,9 +438,16 @@ def approx_identity_weights(group, t, m, N, t0=DEFAULT_T0, entry_cap=DEFAULT_ENT
             f"unitary table to level {m} needs {count} entries, above the cap {entry_cap}"
         )
     return [
-        (w, a_coeff(involution(w), t, N, t0) * float(dim_unitary(w, N)))
+        (w, a_coeff(involution(w), t, N, t0) * _float_dim(dim_unitary(w, N), w))
         for w in all_words(m)
     ]
+
+
+def _float_dim(dim: int, label) -> float:
+    try:
+        return float(dim)
+    except OverflowError:
+        raise DomainError(f"the dimension at label {label!r} overflows a double") from None
 
 
 def poisson_coeff(r, n) -> float:

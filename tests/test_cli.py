@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -138,6 +140,20 @@ class TestCertify:
         code, _ = run(capsys, "certify", "--group", "o", "--t", "3", "--N", "3",
                       "--D", "1", "--eps", "1e-3")
         assert code == 3
+
+    @pytest.mark.parametrize("extra", [
+        ("--eps", "nan", "--D", "1"),
+        ("--eps", "1e-3", "--D", "nan"),
+        ("--eps", "1e-3", "--D", "inf"),
+        ("--eps", "1e-3", "--D", "1e308"),
+    ], ids=["eps-nan", "D-nan", "D-inf", "D-1e308"])
+    def test_non_finite_input_exits_3_promptly(self, extra, src_env):
+        argv = [sys.executable, "-m", "freeqg.cli", "certify", "--group", "o",
+                "--t", "2.9", "--N", "3", *extra]
+        result = subprocess.run(argv, capture_output=True, text=True, timeout=30, env=src_env)
+        assert result.returncode == 3, result.stderr
+        assert result.stdout == ""
+        assert "domain error" in result.stderr
 
 
 class TestVerify:

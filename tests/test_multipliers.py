@@ -1,7 +1,11 @@
 import math
+import random
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freeqg import (
     BoundParams,
@@ -38,6 +42,38 @@ PI_OVER_SQRT6 = math.pi / math.sqrt(6.0)
 def direct_tail_sup(coef, ratio, start, horizon=3000):
     # independent oracle: plain max over a long explicit range
     return max((n + 1) ** 2 * coef * ratio**n for n in range(start, horizon))
+
+
+def linear_tail_sup(coef, ratio, from_level):
+    # reference: the scan from from_level, O(peak) steps, that tail_sup shortcuts
+    if coef == 0.0:
+        return 0.0
+    if ratio >= 1.0:
+        return math.inf
+    best = 0.0
+    n = from_level
+    while True:
+        best = max(best, (n + 1) ** 2 * coef * ratio**n)
+        if (n + 2) ** 2 * ratio < (n + 1) ** 2:
+            return best
+        n += 1
+
+
+def linear_choose_truncation(t, eps, N, group, bounds):
+    # reference: the scan m = 0, 1, 2, ... that choose_truncation bisects
+    bound_fn = tail_bound_orth if group == "o" else tail_bound_unitary
+    m = 0
+    while (bound := bound_fn(t, m, N, bounds)) > eps:
+        m += 1
+    return m, bound
+
+
+def stop_level(ratio):
+    # first level at which the envelope's stop test (n+2)^2 ratio < (n+1)^2 passes
+    n = 0
+    while not (n + 2) ** 2 * ratio < (n + 1) ** 2:
+        n += 1
+    return n
 
 
 class TestCentralState:
@@ -140,6 +176,36 @@ class TestTailSup:
             for start in (0, 1, 7, 40):
                 assert tail_sup(4 / 3, ratio, start) == direct_tail_sup(4 / 3, ratio, start)
 
+    def test_bit_identical_to_linear_scan(self):
+        rng = random.Random(20110302)
+        for _ in range(300):
+            ratio = 1.0 - math.exp(rng.uniform(math.log(1e-4), math.log(0.5)))
+            coef = rng.choice([4 / 3, 1.0, 2.7])
+            peak = math.floor(-2.0 / math.log(ratio) - 1.0)
+            for start in {0, 1, max(0, peak - 3), peak + 3, peak + 50, 2 * peak + 10}:
+                assert tail_sup(coef, ratio, start) == linear_tail_sup(coef, ratio, start), (
+                    coef, ratio, start)
+        for start in (0, 1, 5):
+            assert tail_sup(4 / 3, 0.0, start) == linear_tail_sup(4 / 3, 0.0, start)
+
+    def test_terminates_next_to_one(self):
+        # a few ulps below 1 rounding keeps the stop test failing for over a
+        # million levels past the peak, so only the peak bound ends the walk
+        for ratio in (1.0 - 6 * 2.0**-53, 1.0 - 10 * 2.0**-53, 1.0 - 24 * 2.0**-53):
+            peak = -2.0 / math.log(ratio) - 1.0
+            at_peak = max((n + 1) ** 2 * ratio**n for n in (math.floor(peak), math.ceil(peak)))
+            start = time.perf_counter()
+            value = tail_sup(1.0, ratio, 0)
+            assert time.perf_counter() - start < 0.5
+            assert at_peak <= value <= at_peak * (1.0 + 1e-9)
+
+    def test_rejects_non_finite_and_overflow(self):
+        for coef, ratio in ((math.nan, 0.5), (math.inf, 0.5), (1.0, math.nan), (-1.0, 0.5)):
+            with pytest.raises(DomainError):
+                tail_sup(coef, ratio, 0)
+        with pytest.raises(DomainError):
+            tail_sup(1.0, 0.5, 10**200)
+
 
 class TestKa:
     def test_full_net_at_least_one(self):
@@ -219,6 +285,23 @@ class TestTailBounds:
         with pytest.raises(DomainError):
             tail_bound_unitary(2.5, 2, 3, BoundParams(D=1.0))
 
+    def test_non_finite_bound_is_domain_error(self):
+        # pi * D overflows to inf; once the tail underflows to 0 the product is NaN
+        huge = BoundParams(D=1e308, R=1e308)
+        assert tail_bound_orth(2.9, 10, 3, huge) == math.inf
+        for fn in (tail_bound_orth, tail_bound_unitary):
+            with pytest.raises(DomainError):
+                fn(2.9, 40_000, 3, huge)
+            with pytest.raises(DomainError):
+                fn(2.9, 10**200, 3, self.bounds)
+
+    def test_rejects_non_finite_constants(self):
+        for value in (math.nan, math.inf, -math.inf, 0.0):
+            with pytest.raises(DomainError):
+                BoundParams(D=value)
+            with pytest.raises(DomainError):
+                BoundParams(R=value)
+
 
 class TestChooseTruncation:
     bounds = BoundParams(D=1.0, R=1.0, t0=2.5)
@@ -244,8 +327,60 @@ class TestChooseTruncation:
         assert all(lo <= hi for lo, hi in zip(orders, orders[1:]))
 
     def test_rejects_bad_eps(self):
-        with pytest.raises(DomainError):
-            choose_truncation(2.5, 0.0, 3, "o", self.bounds)
+        for eps in (0.0, -1e-3, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                choose_truncation(2.5, eps, 3, "o", self.bounds)
+
+    def test_matches_linear_scan(self):
+        rng = random.Random(1103)
+        for _ in range(40):
+            N = rng.choice([3, 4, 5, 6, 8])
+            gap = math.exp(rng.uniform(math.log(1.5e-3), math.log(1.0 - 2.5 / N)))
+            t = N * (1.0 - gap)
+            eps = math.exp(rng.uniform(math.log(1e-8), math.log(1e-1)))
+            constant = rng.choice([0.5, 1.0, 2.0])
+            bounds = BoundParams(D=constant, R=constant)
+            for group, bound_fn in (("o", tail_bound_orth), ("u", tail_bound_unitary)):
+                cert = choose_truncation(t, eps, N, group, bounds)
+                reference = linear_choose_truncation(t, eps, N, group, bounds)
+                assert (cert.m, cert.tail_bound) == reference, (t, eps, N, group, constant)
+                assert cert.m == 0 or bound_fn(t, cert.m - 1, N, bounds) > eps
+
+    # t/3 within a few ulps of ((n+1)/(n+2))^2: the float bound rises by an
+    # ulp from m = s-1 to m = s, where s is the stop level of the envelope
+    RISING_T = (2.9097796143250685, 2.968831380208333, 2.983493841495344)
+
+    def test_matches_linear_scan_where_the_float_bound_rises(self):
+        bounds = BoundParams(D=1.0)
+        for t in self.RISING_T:
+            s = stop_level(t / 3)
+            rise = tail_bound_orth(t, s, 3, bounds)
+            assert rise > tail_bound_orth(t, s - 1, 3, bounds)
+            top = tail_bound_orth(t, 0, 3, bounds)
+            for eps in (top, math.nextafter(top, 0.0), rise, math.nextafter(rise, 0.0)):
+                cert = choose_truncation(t, eps, 3, "o", bounds)
+                assert (cert.m, cert.tail_bound) == linear_choose_truncation(t, eps, 3, "o", bounds)
+
+    def test_near_n_order_and_bound_unchanged(self):
+        cert = choose_truncation(2.999, 1e-3, 3, "o", BoundParams(D=1.0))
+        assert (cert.m, cert.tail_bound) == (90817, 0.0009998218735391595)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([3, 4, 5, 6, 8]),
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False),
+        st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False),
+        st.sampled_from(["o", "u"]),
+    )
+    def test_certificate_or_domain_error(self, N, position, eps, constant, group):
+        t = min(2.5 + position * (N - 2.5), math.nextafter(float(N), 0.0))
+        try:
+            cert = choose_truncation(t, eps, N, group, BoundParams(D=constant, R=constant))
+        except DomainError:
+            return
+        assert cert.satisfied
+        assert 0.0 <= cert.tail_bound <= eps
 
 
 class TestTruncatedCoeffs:
@@ -316,6 +451,10 @@ class TestApproxIdentityWeights:
     def test_rejects_endpoint(self):
         with pytest.raises(DomainError):
             approx_identity_weights("o", 3.0, 1, 3)
+
+    def test_dimension_overflow_is_domain_error(self):
+        with pytest.raises(DomainError, match="738"):
+            approx_identity_weights("o", 2.9, 800, 3)
 
 
 class TestPoisson:
