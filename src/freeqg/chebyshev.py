@@ -142,13 +142,20 @@ def dim_orth(n, N) -> int:
 
 @lru_cache(maxsize=None)
 def _ratio(n: int, t: float, N: int) -> float:
-    return cheby_u(n, t) / cheby_u(n, float(N))
+    denominator = cheby_u(n, float(N))
+    if not math.isfinite(denominator):
+        # |u_n(t)| <= u_n(N) for t <= N, so only the denominator can overflow;
+        # the float ratio would read 0.0 and then NaN
+        raise DomainError(f"u_n(N) overflows a double at level n={n} for N={N}")
+    return cheby_u(n, t) / denominator
 
 
 def coeff_ratio(n, t, N, t0=DEFAULT_T0) -> float:
     """Multiplier eigenvalue u_n(t)/u_n(N) for t in [t0, N].
 
-    Lies in (0, 1] and equals 1 exactly when t = N or n = 0.
+    Lies in (0, 1] and equals 1 exactly when t = N or n = 0.  Raises
+    :class:`~freeqg.errors.DomainError` at the levels where u_n(N)
+    overflows a double (n >= 738 for N = 3).
     """
     n = as_nonneg_int(n, "n")
     N = as_int(N, "N")

@@ -24,13 +24,15 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from types import MappingProxyType
 
 from ._util import as_int, as_nonneg_int
 from .chebyshev import DEFAULT_T0, _check_t0, cheby_u, coeff_ratio, decay_constant, dim_orth, q_of
 from .errors import DomainError, ResourceCapError
-from .free_unitary import AlternatingForm, all_words, alternating_form, dim_unitary, involution, word_parse
+from .free_unitary import AlternatingForm, all_words, alternating_form, dim_unitary, word_parse
 
 #: Default cap on the number of entries of a unitary coefficient table; the
 #: label set doubles per level, so tables are refused rather than silently
@@ -232,15 +234,20 @@ def tail_sup(coef, ratio, from_level) -> float:
         except OverflowError:
             raise DomainError(f"tail_sup term at level {n} overflows a double") from None
 
-    best = max(0.0, term(from_level))
+    return max(map(term, _tail_levels(ratio, from_level)))
+
+
+def _tail_levels(ratio: float, from_level: int):
+    """The levels at which tail_sup evaluates its terms, for 0 <= ratio < 1."""
+    yield from_level
     if ratio == 0.0:
-        return best
+        return
     peak = -2.0 / math.log(ratio) - 1.0
     n = max(from_level, math.floor(peak) - 3)
     while True:
-        best = max(best, term(n))
+        yield n
         if (n + 2) ** 2 * ratio < (n + 1) ** 2 or n > peak + 2:
-            return best
+            return
         n += 1
 
 
@@ -335,12 +342,44 @@ def _check_tail_args(t, m, N, bounds: BoundParams):
 
 def _tail_bound(group: Group, t, m, N, bounds: BoundParams) -> float:
     t, m, N = _check_tail_args(t, m, N, bounds)
-    ka_tail = tail_sup(decay_constant(bounds.t0), t / N, m + 1)
-    bound = ultra_bound(ka_tail, bounds.require(group))
+    coef, ratio, constant = decay_constant(bounds.t0), t / N, bounds.require(group)
+    ka_tail = tail_sup(coef, ratio, m + 1)
+    bound = ultra_bound(ka_tail, constant)
     if math.isnan(bound):
         # pi * constant overflowed to inf and met a tail that underflowed to 0
         raise DomainError(f"tail bound at m={m} is NaN: the rapid-decay constant is too large")
+    if ratio ** (m + 1) < sys.float_info.min and bound < math.inf:
+        # the powers ratio**n of the tail are subnormal or 0 and have lost
+        # their precision, while the bound itself need not be small
+        return _log_tail_bound(coef, ratio, m + 1, constant)
     return bound
+
+
+def _log_tail_bound(coef: float, ratio: float, from_level: int, constant: float) -> float:
+    """pi * constant / sqrt(6) * tail_sup(coef, ratio, from_level), in logarithms.
+
+    For a tail whose powers ratio**n are subnormal or 0 in doubles (coef > 0,
+    0 < ratio < 1) while pi * constant is finite: there the float tail has
+    lost precision or reads 0, but the bound may lie far above the underflow
+    threshold.  Each term is summed as logarithms at the levels tail_sup
+    examines.  ``ratio`` is t/N rounded to a double, off by up to
+    2**-53 relative, which ratio**n multiplies by n, so log(ratio) is raised
+    by 2**-52 per level; the rest of the rounding (below 1e-12 relative while
+    the result is above the underflow threshold) is covered by BOUND_SLACK,
+    and a final ulp covers the rounding of exp below it.  The result is at
+    least the smallest positive double.
+    """
+    scale = math.log(math.pi) + math.log(constant) - 0.5 * math.log(6.0) + math.log(coef)
+    log_ratio = math.log(ratio) + 2.0**-52
+    log_bound = max(
+        scale + 2.0 * math.log(n + 1) + n * log_ratio for n in _tail_levels(ratio, from_level)
+    )
+    try:
+        bound = math.exp(log_bound)
+    except OverflowError:
+        # only for ratio within ulps of 1, where the allowance outweighs log(ratio)
+        return math.inf
+    return math.nextafter(bound * (1.0 + BOUND_SLACK), math.inf)
 
 
 def tail_bound_orth(t, m, N, bounds: BoundParams) -> float:
@@ -397,6 +436,21 @@ def truncated_coeffs(group, t, m, N, t0=DEFAULT_T0, entry_cap=DEFAULT_ENTRY_CAP)
     The orthogonal table has m+1 entries; the unitary one has an entry for
     every word of length <= m (2**(m+1) - 1 of them) and is refused with a
     :class:`~freeqg.errors.ResourceCapError` beyond ``entry_cap``.
+
+    The unitary table validates its arguments once, through one ``r_of`` and
+    the ratios ``coeff_ratio(k, t, N, t0)`` for k <= m, and then walks the
+    word trie level by level in :func:`~freeqg.free_unitary.all_words` order,
+    keeping two levels at a time.  The alternating form of ``w + letter``
+    follows from that of ``w`` in O(1): a repeated letter closes the open
+    run and adds one nonzero sign, otherwise the open run grows.  So no word
+    is parsed, and each distinct trie state is expanded once.  Each
+    coefficient is ``r**eps_weight`` times the ratios of the sorted blocks,
+    multiplied in the order :func:`a_coeff_from_form` uses, so every entry
+    has the bits of ``a_coeff_from_form(alternating_form(w), t, N, t0)``.  It
+    is computed once per key ``(eps_weight, sorted blocks)`` (1,356 keys for
+    the 131,071 words of length <= 16), in memos local to the call.  A word
+    and its involution have the same key, so the table is
+    involution-symmetric bit for bit.
     """
     group = Group.coerce(group)
     m = as_nonneg_int(m, "m")
@@ -409,8 +463,43 @@ def truncated_coeffs(group, t, m, N, t0=DEFAULT_T0, entry_cap=DEFAULT_ENTRY_CAP)
             f"unitary table to level {m} needs {count} entries, above the cap {entry_cap}"
         )
     r = r_of(t, N, t0)
-    entries = {w: a_coeff_from_form(alternating_form(w), t, N, t0) for w in all_words(m)}
-    return MultiplierCoeffs(group, entries, t=t, N=N, t0=t0, r=r)
+    ratios = [coeff_ratio(k, t, N, t0) for k in range(m + 1)]
+    return MultiplierCoeffs(group, _unitary_entries(m, r, ratios), t=t, N=N, t0=t0, r=r)
+
+
+def _unitary_entries(m: int, r: float, ratios: list) -> dict:
+    """a_t at every word of length <= m, from r(t) and ratios[k] = u_k(t)/u_k(N)."""
+
+    @lru_cache(maxsize=None)
+    def coeff(eps_weight, blocks):
+        value = r**eps_weight
+        for k in blocks:
+            value *= ratios[k]
+        return value
+
+    # The trie state of a word: (leading sign + one per repeated letter,
+    # closed runs sorted, open run, last letter).  Words in one state share
+    # the key (eps_weight, sorted blocks) and their children share states.
+    @lru_cache(maxsize=None)
+    def value(state):
+        weight, closed, run, last = state
+        return coeff(weight + (last == "b"), tuple(sorted(closed + (run,))) if run else ())
+
+    @lru_cache(maxsize=None)
+    def children(state):
+        weight, closed, run, last = state
+        if last is None:  # the empty word
+            return (1, (), 1, "a"), (0, (), 1, "b")
+        repeat = (weight + 1, tuple(sorted(closed + (run,))), 1, last)
+        grow = (weight, closed, run + 1, "b" if last == "a" else "a")
+        return (repeat, grow) if last == "a" else (grow, repeat)
+
+    level = [(0, (), 0, None)]
+    values = [value(level[0])]
+    for _ in range(m):
+        level = [child for state in level for child in children(state)]
+        values += map(value, level)
+    return dict(zip(all_words(m), values))
 
 
 def approx_identity_weights(group, t, m, N, t0=DEFAULT_T0, entry_cap=DEFAULT_ENTRY_CAP):
@@ -432,15 +521,9 @@ def approx_identity_weights(group, t, m, N, t0=DEFAULT_T0, entry_cap=DEFAULT_ENT
             (n, coeff_ratio(n, t, N, t0) * _float_dim(dim_orth(n, N), n))
             for n in range(m + 1)
         ]
-    count = 2 ** (m + 1) - 1
-    if count > entry_cap:
-        raise ResourceCapError(
-            f"unitary table to level {m} needs {count} entries, above the cap {entry_cap}"
-        )
-    return [
-        (w, a_coeff(involution(w), t, N, t0) * _float_dim(dim_unitary(w, N), w))
-        for w in all_words(m)
-    ]
+    # a_t(involution(w)) == a_t(w) bit for bit (same weight, same sorted blocks)
+    coeffs = truncated_coeffs(group, t, m, N, t0, entry_cap).entries
+    return [(w, a * _float_dim(dim_unitary(w, N), w)) for w, a in coeffs.items()]
 
 
 def _float_dim(dim: int, label) -> float:

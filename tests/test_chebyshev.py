@@ -154,6 +154,19 @@ class TestCoeffRatio:
         with pytest.raises(DomainError):
             coeff_ratio(1, 2.5, 2)  # N too small
 
+    def test_overflowing_level_is_domain_error(self):
+        # u_n(3.0) overflows a double at n = 738; the ratio used to read 0.0
+        # there and NaN from n = 740 on
+        assert 0.0 < coeff_ratio(737, 2.9, 3) == cheby_u(737, 2.9) / cheby_u(737, 3.0)
+        for n, N in ((738, 3), (740, 3), (2000, 3), (500, 6)):
+            with pytest.raises(DomainError, match=f"level n={n} for N={N}"):
+                coeff_ratio(n, 2.9, N)
+        for N in (3, 4, 6, 8):
+            last = max(n for n in range(800) if math.isfinite(cheby_u(n, float(N))))
+            assert 0.0 < coeff_ratio(last, 2.7, N) == cheby_u(last, 2.7) / cheby_u(last, float(N))
+            with pytest.raises(DomainError):
+                coeff_ratio(last + 1, 2.7, N)
+
 
 class TestDecayConstant:
     def test_midpoint_value(self):

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freeqg import cli
 
@@ -109,6 +112,42 @@ class TestCoeffs:
         assert code == 4
 
 
+    # sha256 of stdout, recorded before the unitary table moved to the word
+    # trie and the JSON writer gained its fast paths
+    @pytest.mark.parametrize("argv,digest", [
+        ("--group u --t 2.7 --N 4 --m 12",
+         "470f0a3178ace78be0f2832faa6a07e8531886c4ed74940c5af62a9129746bf4"),
+        ("--group u --t 2.7 --N 4 --m 12 --format csv",
+         "ac8427d3a0fbb3fa82e80361637d7cd3ff7621b66c83f71e13122ab26167a0d8"),
+        ("--group u --t 2.5 --N 3 --m 9",
+         "51668450bae06427d899d8f5603a1d3cba73dfb562180fba40017fd21aff0b1c"),
+        ("--group u --t 2.5 --N 3 --m 9 --format csv",
+         "ad9a7568346d6009f64d4e564de09416cda07035dba343af95f292ad01b67efa"),
+        ("--group u --t 3.0 --N 3 --m 9",
+         "648ac8e5a6f856f003fb94884d1e014785f132767b72632fe3c856b057a2e1cd"),
+        ("--group u --t 3.0 --N 3 --m 9 --format csv",
+         "7b468b998a200d84fe6e8b92577dde8171802635a6618795aaf28475e4b715e4"),
+        ("--group u --t 2.9 --N 5 --m 0",
+         "a924c75f96de8776ff072af32fc8bc059448d6f23dfec248f590be2f0f85f685"),
+        ("--group u --t 2.9 --N 5 --m 0 --format csv",
+         "826ea66100ef3779296f8be97364a14ec3da98cdac00d322b67904dbee54b125"),
+        ("--group o --t 2.9 --N 3 --m 60",
+         "017057701f33ba27516aa69d27b13ab84bd129b8d63cd7725c349691bf93f7c0"),
+    ])
+    def test_stdout_bytes_pinned(self, capsys, argv, digest):
+        code, out = run(capsys, "coeffs", *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_orth_level_past_double_overflow_is_domain_error(self, capsys):
+        # u_738(3) overflows a double; the message used to blame a coefficient of 0.0
+        code = cli.main(["coeffs", "--group", "o", "--t", "2.9", "--N", "3", "--m", "740"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "level n=738 for N=3" in captured.err
+
+
 class TestCertify:
     ARGS = ("certify", "--group", "o", "--t", "2.5", "--N", "3", "--D", "1", "--eps", "1e-3")
 
@@ -154,6 +193,17 @@ class TestCertify:
         assert result.returncode == 3, result.stderr
         assert result.stdout == ""
         assert "domain error" in result.stderr
+
+
+    def test_underflowed_tail_is_not_certified_as_zero(self, capsys):
+        # the tail used to underflow to 0 before pi * D was applied: m = 21979
+        # with tail_bound 0, where the real bound is about 2e-15
+        code, record = run_json(capsys, "certify", "--group", "o", "--t", "2.9", "--N", "3",
+                                "--D", "1e300", "--eps", "1e-300")
+        assert code == 0
+        row = record["rows"][0]
+        assert row["m"] == 41394
+        assert 0.0 < row["tail_bound"] <= 1e-300
 
 
 class TestVerify:
@@ -214,3 +264,81 @@ class TestFormatsAndErrors:
         assert first == second
         record = json.loads(first)
         assert list(record) == sorted(record)
+
+
+# The JSON writer before its fast paths, kept as the reference.
+def reference_json_token(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".15g")
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        return reference_json_string(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(reference_json_token(v) for v in value) + "]"
+    if isinstance(value, dict):
+        items = sorted(value.items(), key=lambda kv: str(kv[0]))
+        return "{" + ",".join(
+            f"{reference_json_string(str(k))}:{reference_json_token(v)}" for k, v in items
+        ) + "}"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def reference_json_string(s: str) -> str:
+    out = ['"']
+    for ch in s:
+        if ch == '"':
+            out.append('\\"')
+        elif ch == "\\":
+            out.append("\\\\")
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04x}")
+        else:
+            out.append(ch)
+    out.append('"')
+    return "".join(out)
+
+
+texts = st.text(alphabet=st.sampled_from('ab"\\\x00\x01\x1f\x7f é€αβ\u2028𝔘')) | st.text()
+scalars = (st.none() | st.booleans() | st.integers() | st.integers(min_value=10**30)
+           | st.floats() | texts)
+values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(texts | st.integers(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@st.composite
+def row_lists(draw):
+    """Lists of dicts over one key set; sometimes one row lacks a key or has an extra one."""
+    keys = draw(st.lists(texts | st.integers(-2, 2), max_size=4, unique=True))
+    rows = draw(st.lists(st.fixed_dictionaries({k: values for k in keys}), min_size=1,
+                         max_size=5))
+    change = draw(st.sampled_from(["none", "missing", "extra", "non-dict"]))
+    index = draw(st.integers(0, len(rows) - 1))
+    if change == "missing" and keys:
+        rows[index].pop(draw(st.sampled_from(keys)))
+    elif change == "extra":
+        rows[index][draw(texts)] = draw(scalars)
+    elif change == "non-dict":
+        rows[index] = draw(scalars)
+    return rows
+
+
+class TestJsonWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(values | row_lists())
+    def test_matches_reference_writer(self, value):
+        assert cli._json_token(value) == reference_json_token(value)
+
+    def test_examples(self):
+        for value in ([], [[]], [{}], [{}, {}], (1, 2.5), [{"b": True, "a": None}] * 3,
+                      [{"k": 1}, {"k": 2, "x": 3}], [{1: "a", "1": "b"}, {"1": "b", 1: "a"}],
+                      {"s": '"\\\x00\x1fé'}, 10**40, -(10**40), False, True):
+            assert cli._json_token(value) == reference_json_token(value)

@@ -1,6 +1,8 @@
 import math
 import random
+import sys
 import time
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -15,7 +17,9 @@ from freeqg import (
     MultiplierCoeffs,
     ResourceCapError,
     a_coeff,
+    a_coeff_from_form,
     all_words,
+    alternating_form,
     approx_identity_weights,
     central_coeff_orth,
     cheby_u,
@@ -66,6 +70,24 @@ def linear_choose_truncation(t, eps, N, group, bounds):
     while (bound := bound_fn(t, m, N, bounds)) > eps:
         m += 1
     return m, bound
+
+
+def reference_unit_table(t, m, N, t0=2.5):
+    # reference: one parsed form and one a_coeff_from_form per word
+    return {w: a_coeff_from_form(alternating_form(w), t, N, t0) for w in all_words(m)}
+
+
+def decimal_tail_bound(t, m, N, constant, t0=2.5):
+    # pi * K / sqrt(6) * sup_{n > m} (n+1)^2 * C * (t/N)^n to 60 digits, with
+    # t/N the exact quotient of the double t by N; C = 4/3 at t0 = 2.5.  For
+    # m + 1 past the peak of (n+1)^2 (t/N)^n the supremum is at n = m + 1.
+    assert t0 == 2.5 and m + 1 > -2.0 / math.log(t / N)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        pi = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+        n = m + 1
+        return pi * Decimal(constant) / Decimal(6).sqrt() * Decimal(4) / 3 * (n + 1) ** 2 * (
+            Decimal(t) / N) ** n
 
 
 def stop_level(ratio):
@@ -295,6 +317,25 @@ class TestTailBounds:
             with pytest.raises(DomainError):
                 fn(2.9, 10**200, 3, self.bounds)
 
+    def test_underflowed_tail_is_positive_and_above_the_real_bound(self):
+        # (t/N)^n is subnormal from n = 20896 on for t = 2.9, N = 3, where the
+        # bound pi * D / sqrt(6) * (n+1)^2 * C * (t/N)^n is still about 16;
+        # the float tail read 2e-8 (relative) below the real bound at m = 21470
+        bounds = BoundParams(D=1e300, R=1e300)
+        ratio = 2.9 / 3
+        switch = next(m for m in range(20_000, 22_000) if ratio ** (m + 1) < sys.float_info.min)
+        values = [tail_bound_orth(2.9, m, 3, bounds) for m in range(switch - 40, switch + 40)]
+        assert all(hi < lo for lo, hi in zip(values, values[1:]))
+        real = decimal_tail_bound(2.9, switch - 1, 3, 1e300)
+        assert abs(Decimal(values[39]) / real - 1) < Decimal(1e-10)
+        for m in (switch, switch + 1, 21_979, 30_000, 41_394):
+            bound = tail_bound_orth(2.9, m, 3, bounds)
+            real = decimal_tail_bound(2.9, m, 3, 1e300)
+            assert real <= Decimal(bound) <= real * Decimal(1 + 1e-10), m
+            assert tail_bound_unitary(2.9, m, 3, bounds) == bound
+        # a tail far below the smallest double still gives a positive bound
+        assert tail_bound_orth(2.9, 10**6, 3, bounds) == math.ulp(0.0)
+
     def test_rejects_non_finite_constants(self):
         for value in (math.nan, math.inf, -math.inf, 0.0):
             with pytest.raises(DomainError):
@@ -365,6 +406,18 @@ class TestChooseTruncation:
         cert = choose_truncation(2.999, 1e-3, 3, "o", BoundParams(D=1.0))
         assert (cert.m, cert.tail_bound) == (90817, 0.0009998218735391595)
 
+    # At t = 2.9 the tail underflowed to 0 before pi * D was applied, and the
+    # certificate claimed tail_bound 0 at m = 21979 (real bound ~2e-15).  At
+    # t = 2.980019, t/N rounds down by 3.7e-17 relative, which (t/N)^n turns
+    # into 8e-12 below the real bound at n ~ 210000, more than BOUND_SLACK.
+    @pytest.mark.parametrize("t,m", [(2.9, 41394), (2.980019, 210486)])
+    def test_underflowed_tail_certificate(self, t, m):
+        cert = choose_truncation(t, 1e-300, 3, "o", BoundParams(D=1e300))
+        assert 0.0 < cert.tail_bound <= 1e-300
+        assert cert.m == m
+        assert Decimal(cert.tail_bound) >= decimal_tail_bound(t, cert.m, 3, 1e300)
+        assert decimal_tail_bound(t, cert.m - 1, 3, 1e300) > Decimal(1e-300)
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.sampled_from([3, 4, 5, 6, 8]),
@@ -410,6 +463,17 @@ class TestTruncatedCoeffs:
         for w in ("", "a", "abab", "bbbaab"):
             assert table.entries[w] == a_coeff(w, 2.7, 4)
 
+    def test_unit_table_matches_per_word_reference(self):
+        rng = random.Random(1103)
+        for N in (3, 4, 5, 6, 8):
+            for t in (2.5, *sorted(rng.uniform(2.5, N) for _ in range(3)), float(N)):
+                reference = list(reference_unit_table(t, 10, N).items())
+                for m in (0, 1, 2, 5, 10):
+                    entries = truncated_coeffs("u", t, m, N).entries
+                    assert list(entries.items()) == reference[: 2 ** (m + 1) - 1], (t, m, N)
+                for w, value in entries.items():
+                    assert value == entries[involution(w)]
+
     def test_identity_endpoint(self):
         table = truncated_coeffs("u", 3.0, 3, 3)
         assert set(table.entries.values()) == {1.0}
@@ -447,6 +511,19 @@ class TestApproxIdentityWeights:
         for w in ("aab", "ab", "bbb"):
             expected = a_coeff(involution(w), 2.6, 3) * dim_unitary(w, 3)
             assert weights[w] == pytest.approx(expected, rel=1e-14)
+
+    def test_unit_weights_match_per_word_expression(self):
+        for t, N in ((2.5, 3), (2.71, 4), (5.9, 6)):
+            for m in range(9):
+                expected = [
+                    (w, a_coeff(involution(w), t, N) * float(dim_unitary(w, N)))
+                    for w in all_words(m)
+                ]
+                assert approx_identity_weights("u", t, m, N) == expected
+
+    def test_unit_entry_cap(self):
+        with pytest.raises(ResourceCapError):
+            approx_identity_weights("u", 2.5, 12, 3, entry_cap=100)
 
     def test_rejects_endpoint(self):
         with pytest.raises(DomainError):
