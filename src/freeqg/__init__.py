@@ -26,6 +26,7 @@ from .chebyshev import (
     cheby_u,
     cheby_u_grid,
     coeff_ratio,
+    coeff_ratios,
     decay_constant,
     dim_orth,
     q_of,
@@ -113,6 +114,7 @@ __all__ = [
     "cheby_u_grid",
     "choose_truncation",
     "coeff_ratio",
+    "coeff_ratios",
     "decay_constant",
     "dim_check_fusion",
     "dim_check_fusion_unitary",

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
 
-import numpy as np
-
 from ._util import as_int, as_nonneg_int
 from .errors import DomainError
 
@@ -83,6 +81,8 @@ def cheby_u(n, x):
 
 def cheby_u_grid(n_max, xs) -> np.ndarray:
     """Rows u_0(xs) .. u_{n_max}(xs) for an array of evaluation points."""
+    import numpy as np
+
     n_max = as_nonneg_int(n_max, "n_max")
     xs = np.asarray(xs, dtype=float)
     out = np.empty((n_max + 1,) + xs.shape)
@@ -158,6 +158,34 @@ def coeff_ratio(n, t, N, t0=DEFAULT_T0) -> float:
     overflows a double (n >= 738 for N = 3).
     """
     n = as_nonneg_int(n, "n")
+    t, N = _check_ratio_args(t, N, t0)
+    return _ratio(n, t, N)
+
+
+def coeff_ratios(m, t, N, t0=DEFAULT_T0) -> list[float]:
+    """The eigenvalues [u_n(t)/u_n(N) for n <= m] in one pass.
+
+    Runs the two recursions once, so a table costs O(m) steps where m + 1
+    calls of :func:`coeff_ratio` cost O(m**2); each value has the bits
+    ``coeff_ratio(n, t, N, t0)`` gives.  Raises the same
+    :class:`~freeqg.errors.DomainError` at the first level where u_n(N)
+    overflows a double.
+    """
+    m = as_nonneg_int(m, "m")
+    t, N = _check_ratio_args(t, N, t0)
+    x = float(N)
+    ratios = []
+    num_prev, num, den_prev, den = 0.0, 1.0, 0.0, 1.0  # u_{-1} = 0, u_0 = 1
+    for n in range(m + 1):
+        if not math.isfinite(den):
+            raise DomainError(f"u_n(N) overflows a double at level n={n} for N={N}")
+        ratios.append(num / den)
+        num_prev, num = num, t * num - num_prev
+        den_prev, den = den, x * den - den_prev
+    return ratios
+
+
+def _check_ratio_args(t, N, t0) -> tuple[float, int]:
     N = as_int(N, "N")
     if N < 3:
         raise DomainError(f"N must be >= 3, got {N}")
@@ -165,7 +193,7 @@ def coeff_ratio(n, t, N, t0=DEFAULT_T0) -> float:
     t = float(t)
     if not t0 <= t <= N:
         raise DomainError(f"t must lie in [{t0}, {N}], got {t}")
-    return _ratio(n, t, N)
+    return t, N
 
 
 def decay_constant(t0) -> float:

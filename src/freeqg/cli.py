@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import re
 import sys
@@ -272,7 +273,15 @@ def cmd_verify(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 # parser
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by later ones.
+
+    It is not built at import time: that would bind ``set_defaults(func=...)``
+    to the ``cmd_*`` handlers before anything wrapping them at their module
+    bindings gets the chance.  Reuse is safe because ``parse_args`` returns a
+    fresh namespace each time.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("jsonl", "csv"), default="jsonl",
                         help="output format (default: jsonl)")

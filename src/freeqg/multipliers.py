@@ -30,7 +30,16 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from ._util import as_int, as_nonneg_int
-from .chebyshev import DEFAULT_T0, _check_t0, cheby_u, coeff_ratio, decay_constant, dim_orth, q_of
+from .chebyshev import (
+    DEFAULT_T0,
+    _check_t0,
+    cheby_u,
+    coeff_ratio,
+    coeff_ratios,
+    decay_constant,
+    dim_orth,
+    q_of,
+)
 from .errors import DomainError, ResourceCapError
 from .free_unitary import AlternatingForm, all_words, alternating_form, dim_unitary, word_parse
 
@@ -348,9 +357,10 @@ def _tail_bound(group: Group, t, m, N, bounds: BoundParams) -> float:
     if math.isnan(bound):
         # pi * constant overflowed to inf and met a tail that underflowed to 0
         raise DomainError(f"tail bound at m={m} is NaN: the rapid-decay constant is too large")
-    if ratio ** (m + 1) < sys.float_info.min and bound < math.inf:
+    if min(ratio ** (m + 1), bound) < sys.float_info.min and bound < math.inf:
         # the powers ratio**n of the tail are subnormal or 0 and have lost
-        # their precision, while the bound itself need not be small
+        # their precision, while the bound itself need not be small; or the
+        # bound is subnormal and its product rounded in the subnormal range
         return _log_tail_bound(coef, ratio, m + 1, constant)
     return bound
 
@@ -361,13 +371,15 @@ def _log_tail_bound(coef: float, ratio: float, from_level: int, constant: float)
     For a tail whose powers ratio**n are subnormal or 0 in doubles (coef > 0,
     0 < ratio < 1) while pi * constant is finite: there the float tail has
     lost precision or reads 0, but the bound may lie far above the underflow
-    threshold.  Each term is summed as logarithms at the levels tail_sup
-    examines.  ``ratio`` is t/N rounded to a double, off by up to
-    2**-53 relative, which ratio**n multiplies by n, so log(ratio) is raised
-    by 2**-52 per level; the rest of the rounding (below 1e-12 relative while
-    the result is above the underflow threshold) is covered by BOUND_SLACK,
-    and a final ulp covers the rounding of exp below it.  The result is at
-    least the smallest positive double.
+    threshold.  Also for a bound that is itself subnormal (a tiny constant),
+    whose float product loses bits in the subnormal range.  Each term is
+    summed as logarithms at the levels tail_sup examines.  ``ratio`` is t/N
+    rounded to a double, off by up to 2**-53 relative, which ratio**n
+    multiplies by n, so log(ratio) is raised by 2**-52 per level; the rest
+    of the rounding (below 1e-12 relative while the result is above the
+    underflow threshold) is covered by BOUND_SLACK, and a final ulp covers
+    the rounding of exp below it.  The result is at least the smallest
+    positive double.
     """
     scale = math.log(math.pi) + math.log(constant) - 0.5 * math.log(6.0) + math.log(coef)
     log_ratio = math.log(ratio) + 2.0**-52
@@ -435,14 +447,16 @@ def truncated_coeffs(group, t, m, N, t0=DEFAULT_T0, entry_cap=DEFAULT_ENTRY_CAP)
 
     The orthogonal table has m+1 entries; the unitary one has an entry for
     every word of length <= m (2**(m+1) - 1 of them) and is refused with a
-    :class:`~freeqg.errors.ResourceCapError` beyond ``entry_cap``.
+    :class:`~freeqg.errors.ResourceCapError` beyond ``entry_cap``.  Both take
+    their ratios u_k(t)/u_k(N), k <= m, from one
+    :func:`~freeqg.chebyshev.coeff_ratios` pass.
 
     The unitary table validates its arguments once, through one ``r_of`` and
-    the ratios ``coeff_ratio(k, t, N, t0)`` for k <= m, and then walks the
-    word trie level by level in :func:`~freeqg.free_unitary.all_words` order,
-    keeping two levels at a time.  The alternating form of ``w + letter``
-    follows from that of ``w`` in O(1): a repeated letter closes the open
-    run and adds one nonzero sign, otherwise the open run grows.  So no word
+    that pass, and then walks the word trie level by level in
+    :func:`~freeqg.free_unitary.all_words` order, keeping two levels at a
+    time.  The alternating form of ``w + letter`` follows from that of ``w``
+    in O(1): a repeated letter closes the open run and adds one nonzero
+    sign, otherwise the open run grows.  So no word
     is parsed, and each distinct trie state is expanded once.  Each
     coefficient is ``r**eps_weight`` times the ratios of the sorted blocks,
     multiplied in the order :func:`a_coeff_from_form` uses, so every entry
@@ -455,7 +469,7 @@ def truncated_coeffs(group, t, m, N, t0=DEFAULT_T0, entry_cap=DEFAULT_ENTRY_CAP)
     group = Group.coerce(group)
     m = as_nonneg_int(m, "m")
     if group is Group.ORTH:
-        entries = {n: coeff_ratio(n, t, N, t0) for n in range(m + 1)}
+        entries = dict(enumerate(coeff_ratios(m, t, N, t0)))
         return MultiplierCoeffs(group, entries, t=t, N=N, t0=t0)
     count = 2 ** (m + 1) - 1
     if count > entry_cap:
@@ -463,7 +477,7 @@ def truncated_coeffs(group, t, m, N, t0=DEFAULT_T0, entry_cap=DEFAULT_ENTRY_CAP)
             f"unitary table to level {m} needs {count} entries, above the cap {entry_cap}"
         )
     r = r_of(t, N, t0)
-    ratios = [coeff_ratio(k, t, N, t0) for k in range(m + 1)]
+    ratios = coeff_ratios(m, t, N, t0)
     return MultiplierCoeffs(group, _unitary_entries(m, r, ratios), t=t, N=N, t0=t0, r=r)
 
 
@@ -518,8 +532,8 @@ def approx_identity_weights(group, t, m, N, t0=DEFAULT_T0, entry_cap=DEFAULT_ENT
         raise DomainError(f"t must lie in [{t0}, {N}), got {t}")
     if group is Group.ORTH:
         return [
-            (n, coeff_ratio(n, t, N, t0) * _float_dim(dim_orth(n, N), n))
-            for n in range(m + 1)
+            (n, ratio * _float_dim(dim_orth(n, N), n))
+            for n, ratio in enumerate(coeff_ratios(m, t, N, t0))
         ]
     # a_t(involution(w)) == a_t(w) bit for bit (same weight, same sorted blocks)
     coeffs = truncated_coeffs(group, t, m, N, t0, entry_cap).entries

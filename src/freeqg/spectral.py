@@ -5,13 +5,14 @@ quantum group is a standard semicircular element: its spectral measure has
 density sqrt(4 - x^2)/(2 pi) on [-2, 2], its even moments are the Catalan
 numbers and its odd moments vanish.  In the full C*-algebra the spectrum of
 the same character is the interval [-N, N].
+
+numpy is imported inside the functions that use it, so that importing
+:mod:`freeqg` (and its CLI) does not load it.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from ._util import as_int, as_nonneg_int
 from .errors import DomainError
@@ -25,6 +26,8 @@ def semicircle_density(x):
 
     Accepts scalars or arrays; scalars come back as floats.
     """
+    import numpy as np
+
     arr = np.asarray(x, dtype=float)
     out = np.where(
         np.abs(arr) <= 2.0,
@@ -40,6 +43,8 @@ def semicircle_cdf(x):
     1/2 + x*sqrt(4 - x^2)/(4 pi) + arcsin(x/2)/pi on the support, clamped to
     0 and 1 outside.
     """
+    import numpy as np
+
     arr = np.clip(np.asarray(x, dtype=float), -2.0, 2.0)
     out = 0.5 + arr * np.sqrt(4.0 - arr * arr) / (4.0 * math.pi) + np.arcsin(arr / 2.0) / math.pi
     return float(out) if out.ndim == 0 else out
@@ -58,6 +63,8 @@ def semicircle_moment(k, subdivisions: int = 10_000) -> float:
     subdivisions = as_int(subdivisions, "subdivisions")
     if subdivisions < 64:
         raise DomainError(f"subdivisions must be >= 64, got {subdivisions}")
+    import numpy as np
+
     panels = subdivisions + (subdivisions % 2)
     thetas = np.linspace(-math.pi / 2.0, math.pi / 2.0, panels + 1)
     xs = 2.0 * np.sin(thetas)
@@ -75,11 +82,14 @@ def semicircle_sample(seed, count) -> np.ndarray:
     Proposals are uniform on [-2, 2] x [0, 1/pi]; the acceptance rate is
     pi/4.  The generator is numpy's PCG64 seeded with ``seed``, and the
     chunked accept/reject loop consumes the stream in a fixed order, so the
-    output is bit-reproducible for a given seed.
+    output is bit-reproducible for a given seed, a non-negative integer.
     """
+    seed = as_nonneg_int(seed, "seed")
     count = as_int(count, "count")
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(seed))
     out = np.empty(count)
     filled = 0

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
-
 from .chebyshev import DEFAULT_T0, cheby_u, coeff_ratio, decay_constant, dim_orth
 from .fusion_orth import catalan, char_moment_orth, dim_check_fusion, fuse_orth, fuse_orth_many
 from .free_unitary import (
@@ -197,6 +195,8 @@ def verify_decay(
     t0: float = DEFAULT_T0,
 ) -> list[Check]:
     """Geometric decay, contraction range, and monotonicity of the nets."""
+    import numpy as np
+
     checks: list[Check] = []
     c = decay_constant(t0)
 

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from freeqg import (
     cheby_u,
     cheby_u_grid,
     coeff_ratio,
+    coeff_ratios,
     decay_constant,
     dim_orth,
     q_of,
@@ -166,6 +168,24 @@ class TestCoeffRatio:
             assert 0.0 < coeff_ratio(last, 2.7, N) == cheby_u(last, 2.7) / cheby_u(last, float(N))
             with pytest.raises(DomainError):
                 coeff_ratio(last + 1, 2.7, N)
+
+
+    def test_coeff_ratios_equal_single_calls(self):
+        # one pass of both recursions gives the bits of m + 1 separate calls,
+        # up to the last finite level, and the same error one level later
+        rng = random.Random(264)
+        for N in (3, 4, 5, 6, 8):
+            overflow = next(n for n in range(800) if not math.isfinite(cheby_u(n, float(N))))
+            for t in (2.5, rng.uniform(2.5, N), rng.uniform(2.5, N), float(N)):
+                for m in (0, 1, 7, overflow - 8, overflow - 1):
+                    assert coeff_ratios(m, t, N) == [coeff_ratio(n, t, N) for n in range(m + 1)]
+                with pytest.raises(DomainError, match=f"level n={overflow} for N={N}"):
+                    coeff_ratios(overflow, t, N)
+
+    def test_coeff_ratios_domain(self):
+        for args in ((1, 2.4, 5), (1, 5.1, 5), (1, 2.5, 2), (-1, 2.5, 3)):
+            with pytest.raises(DomainError):
+                coeff_ratios(*args)
 
 
 class TestDecayConstant:

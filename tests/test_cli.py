@@ -266,6 +266,73 @@ class TestFormatsAndErrors:
         assert list(record) == sorted(record)
 
 
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+seen = {}
+import freeqg
+seen["import freeqg"] = "numpy" in sys.modules
+import freeqg.cli
+seen["import freeqg.cli"] = "numpy" in sys.modules
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = freeqg.cli.main(argv)
+    seen[" ".join(argv[:1])] = ["numpy" in sys.modules, code]
+print(json.dumps(seen))
+"""
+
+
+class TestProcessState:
+    """One process serves many requests: numpy loads late, nothing carries over."""
+
+    def test_numpy_loads_only_on_first_use(self, src_env):
+        requests = [
+            ["certify", "--group", "o", "--t", "2.5", "--N", "3", "--D", "1", "--eps", "1e-3"],
+            ["coeffs", "--group", "u", "--t", "2.7", "--N", "4", "--m", "3"],
+            ["dims", "--group", "u", "--N", "3", "aba"],
+            ["fuse", "--group", "o", "1", "1"],
+            ["verify", "decay", "--N", "3", "--grid", "2", "--max-len", "2"],
+        ]
+        result = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(requests)],
+                                capture_output=True, text=True, timeout=60, env=src_env)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == {
+            "import freeqg": False,
+            "import freeqg.cli": False,
+            "certify": [False, 0],
+            "coeffs": [False, 0],
+            "dims": [False, 0],
+            "fuse": [False, 0],
+            "verify": [True, 0],
+        }
+
+    def test_in_process_sequence_matches_fresh_processes(self, capsys, src_env):
+        decay = ["verify", "decay", "--grid", "2", "--max-len", "2"]
+        sequence = [
+            ["certify", "--group", "o", "--bogus"],
+            ["certify", "--group", "o", "--t", "2.5", "--N", "3", "--D", "1", "--eps", "1e-3"],
+            [*decay, "--N", "3", "--N", "4"],
+            decay,
+            ["coeffs", "--group", "u", "--t", "2.7", "--N", "4", "--m", "3", "--format", "csv"],
+            ["dims", "--group", "o", "--N", "3", "5"],
+        ]
+        in_process = [run(capsys, *argv) for argv in sequence]
+        assert cli._build_parser() is cli._build_parser()
+        fresh = []
+        for argv in sequence:
+            result = subprocess.run([sys.executable, "-m", "freeqg.cli", *argv],
+                                    capture_output=True, text=True, timeout=60, env=src_env)
+            fresh.append((result.returncode, result.stdout))
+        assert in_process == fresh
+        assert [code for code, _ in in_process] == [2, 0, 0, 0, 0, 0]
+        # the default --N of verify decay is (3, 4, 5, 6) after a request that
+        # appended 3 and 4: 61 levels at 2 grid points per N
+        cases = [
+            {row["check"]: row["cases"] for row in json.loads(out)["rows"]}["orth_coeff_decay"]
+            for _, out in in_process[2:4]
+        ]
+        assert cases == [2 * 2 * 61, 4 * 2 * 61]
+
+
 # The JSON writer before its fast paths, kept as the reference.
 def reference_json_token(value) -> str:
     if value is None:

@@ -418,6 +418,23 @@ class TestChooseTruncation:
         assert Decimal(cert.tail_bound) >= decimal_tail_bound(t, cert.m, 3, 1e300)
         assert decimal_tail_bound(t, cert.m - 1, 3, 1e300) > Decimal(1e-300)
 
+    def test_subnormal_bound_certificate(self):
+        # with a tiny rapid-decay constant the bound itself is subnormal; the
+        # float product used to round to 9.65e-321 at m = 318, 2e-5
+        # (relative) below the real bound
+        bounds = BoundParams(D=1e-300, R=1e-300)
+        for group in ("o", "u"):
+            cert = choose_truncation(2.5, 1e-320, 3, group, bounds)
+            assert cert.m == 318
+            assert 0.0 < cert.tail_bound <= 1e-320
+            assert Decimal(cert.tail_bound) >= decimal_tail_bound(2.5, cert.m, 3, 1e-300)
+            assert decimal_tail_bound(2.5, cert.m - 1, 3, 1e-300) > Decimal(1e-320)
+        for m in range(100, 330, 7):
+            bound = tail_bound_orth(2.5, m, 3, bounds)
+            real = decimal_tail_bound(2.5, m, 3, 1e-300)
+            slack = real * Decimal(1e-10) + 2 * Decimal(math.ulp(0.0))
+            assert real <= Decimal(bound) <= real + slack, m
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.sampled_from([3, 4, 5, 6, 8]),

@@ -99,6 +99,13 @@ class TestSampling:
         with pytest.raises(DomainError):
             semicircle_sample(1, 0)
 
+    def test_seed_validation(self):
+        # these used to leak numpy's ValueError / TypeError
+        for seed in (-1, 1.5, "x", None):
+            with pytest.raises(DomainError):
+                semicircle_sample(seed, 3)
+        assert np.array_equal(semicircle_sample(np.int64(42), 100), semicircle_sample(42, 100))
+
 
 class TestSpectrumInterval:
     def test_examples(self):
