@@ -140,14 +140,34 @@ def dim_orth(n, N) -> int:
     return _dim_orth(n, N)
 
 
+def _ratios(m: int, t: float, N: int) -> list[float]:
+    # u_n(t)/u_n(N) for n = 0, 1, ..., m by the recursion of cheby_u, run for
+    # t and N side by side; the list stops short of the first level where
+    # u_n(N) overflows a double
+    x = float(N)
+    ratios = []
+    num_prev, num, den_prev, den = 0.0, 1.0, 0.0, 1.0  # u_{-1} = 0, u_0 = 1
+    for _ in range(m + 1):
+        if not math.isfinite(den):
+            break
+        ratios.append(num / den)
+        num_prev, num = num, t * num - num_prev
+        den_prev, den = den, x * den - den_prev
+    return ratios
+
+
+def _overflow_error(n: int, N: int) -> DomainError:
+    # |u_n(t)| <= u_n(N) for t <= N, so only the denominator can overflow;
+    # the float ratio would read 0.0 and then NaN
+    return DomainError(f"u_n(N) overflows a double at level n={n} for N={N}")
+
+
 @lru_cache(maxsize=None)
 def _ratio(n: int, t: float, N: int) -> float:
-    denominator = cheby_u(n, float(N))
-    if not math.isfinite(denominator):
-        # |u_n(t)| <= u_n(N) for t <= N, so only the denominator can overflow;
-        # the float ratio would read 0.0 and then NaN
-        raise DomainError(f"u_n(N) overflows a double at level n={n} for N={N}")
-    return cheby_u(n, t) / denominator
+    ratios = _ratios(n, t, N)
+    if len(ratios) <= n:
+        raise _overflow_error(n, N)
+    return ratios[n]
 
 
 def coeff_ratio(n, t, N, t0=DEFAULT_T0) -> float:
@@ -165,23 +185,17 @@ def coeff_ratio(n, t, N, t0=DEFAULT_T0) -> float:
 def coeff_ratios(m, t, N, t0=DEFAULT_T0) -> list[float]:
     """The eigenvalues [u_n(t)/u_n(N) for n <= m] in one pass.
 
-    Runs the two recursions once, so a table costs O(m) steps where m + 1
-    calls of :func:`coeff_ratio` cost O(m**2); each value has the bits
-    ``coeff_ratio(n, t, N, t0)`` gives.  Raises the same
-    :class:`~freeqg.errors.DomainError` at the first level where u_n(N)
-    overflows a double.
+    Runs the recursion behind :func:`coeff_ratio` once up to m, so a table
+    costs O(m) steps where m + 1 calls of :func:`coeff_ratio` cost
+    O(m**2); each value has the bits ``coeff_ratio(n, t, N, t0)`` gives.
+    Raises the same :class:`~freeqg.errors.DomainError`, naming the first
+    level where u_n(N) overflows a double.
     """
     m = as_nonneg_int(m, "m")
     t, N = _check_ratio_args(t, N, t0)
-    x = float(N)
-    ratios = []
-    num_prev, num, den_prev, den = 0.0, 1.0, 0.0, 1.0  # u_{-1} = 0, u_0 = 1
-    for n in range(m + 1):
-        if not math.isfinite(den):
-            raise DomainError(f"u_n(N) overflows a double at level n={n} for N={N}")
-        ratios.append(num / den)
-        num_prev, num = num, t * num - num_prev
-        den_prev, den = den, x * den - den_prev
+    ratios = _ratios(m, t, N)
+    if len(ratios) <= m:
+        raise _overflow_error(len(ratios), N)
     return ratios
 
 

@@ -357,10 +357,11 @@ def _tail_bound(group: Group, t, m, N, bounds: BoundParams) -> float:
     if math.isnan(bound):
         # pi * constant overflowed to inf and met a tail that underflowed to 0
         raise DomainError(f"tail bound at m={m} is NaN: the rapid-decay constant is too large")
-    if min(ratio ** (m + 1), bound) < sys.float_info.min and bound < math.inf:
+    if min(ratio ** (m + 1), math.pi * constant, bound) < sys.float_info.min and bound < math.inf:
         # the powers ratio**n of the tail are subnormal or 0 and have lost
-        # their precision, while the bound itself need not be small; or the
-        # bound is subnormal and its product rounded in the subnormal range
+        # their precision, while the bound itself need not be small; or a
+        # product of the bound (pi * constant, or the bound itself) is
+        # subnormal and was rounded in the subnormal range
         return _log_tail_bound(coef, ratio, m + 1, constant)
     return bound
 
@@ -371,8 +372,8 @@ def _log_tail_bound(coef: float, ratio: float, from_level: int, constant: float)
     For a tail whose powers ratio**n are subnormal or 0 in doubles (coef > 0,
     0 < ratio < 1) while pi * constant is finite: there the float tail has
     lost precision or reads 0, but the bound may lie far above the underflow
-    threshold.  Also for a bound that is itself subnormal (a tiny constant),
-    whose float product loses bits in the subnormal range.  Each term is
+    threshold.  Also for a tiny constant, where pi * constant or the bound
+    itself is subnormal and the float product loses bits there.  Each term is
     summed as logarithms at the levels tail_sup examines.  ``ratio`` is t/N
     rounded to a double, off by up to 2**-53 relative, which ratio**n
     multiplies by n, so log(ratio) is raised by 2**-52 per level; the rest

@@ -83,8 +83,10 @@ def semicircle_sample(seed, count) -> np.ndarray:
     pi/4.  The generator is numpy's PCG64 seeded with ``seed``, and the
     chunked accept/reject loop consumes the stream in a fixed order, so the
     output is bit-reproducible for a given seed, a non-negative integer.
+    ``seed=None`` draws a fresh, unseeded stream.
     """
-    seed = as_nonneg_int(seed, "seed")
+    if seed is not None:
+        seed = as_nonneg_int(seed, "seed")
     count = as_int(count, "count")
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")

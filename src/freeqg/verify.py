@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .chebyshev import DEFAULT_T0, cheby_u, coeff_ratio, decay_constant, dim_orth
+from .chebyshev import DEFAULT_T0, cheby_u, coeff_ratios, decay_constant, dim_orth
 from .fusion_orth import catalan, char_moment_orth, dim_check_fusion, fuse_orth, fuse_orth_many
 from .free_unitary import (
     all_words,
@@ -206,8 +206,7 @@ def verify_decay(
         for t in np.linspace(t0, n_dim, grid_points):
             t = float(t)
             ratio = t / n_dim
-            for n in range(max_n + 1):
-                value = coeff_ratio(n, t, n_dim, t0)
+            for n, value in enumerate(coeff_ratios(max_n, t, n_dim, t0)):
                 cases += 1
                 if not 0.0 < value <= c * ratio**n + BOUND_SLACK:
                     failures += 1
@@ -231,9 +230,11 @@ def verify_decay(
     cases = 0
     failures = 0
     for n_dim in ns:
+        top = min(max_n, 20)
         grid = [float(t) for t in np.linspace(t0, n_dim, grid_points)]
-        for n in range(1, min(max_n, 20) + 1):
-            values = [coeff_ratio(n, t, n_dim, t0) for t in grid]
+        rows = [coeff_ratios(top, t, n_dim, t0) for t in grid]
+        for n in range(1, top + 1):
+            values = [row[n] for row in rows]
             cases += len(values)
             if values[-1] != 1.0:
                 failures += 1

@@ -434,6 +434,18 @@ class TestChooseTruncation:
             real = decimal_tail_bound(2.5, m, 3, 1e-300)
             slack = real * Decimal(1e-10) + 2 * Decimal(math.ulp(0.0))
             assert real <= Decimal(bound) <= real + slack, m
+        # a constant so small that pi * D is subnormal while the bound is
+        # normal: the float product rounded pi * D there, 1.5e-10 (relative)
+        # below the real bound
+        tiny = BoundParams(D=1e-315, R=1e-315)
+        for m in (16000, 18000, 20000):
+            real = decimal_tail_bound(7.999, m, 8, 1e-315)
+            for bound in (tail_bound_orth(7.999, m, 8, tiny), tail_bound_unitary(7.999, m, 8, tiny)):
+                assert bound > sys.float_info.min
+                assert real <= Decimal(bound) <= real * (1 + Decimal(1e-10)), m
+        cert = choose_truncation(7.999, 3e-308, 8, "o", tiny)
+        assert Decimal(cert.tail_bound) >= decimal_tail_bound(7.999, cert.m, 8, 1e-315)
+        assert sys.float_info.min < cert.tail_bound <= 3e-308
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -101,9 +101,12 @@ class TestSampling:
 
     def test_seed_validation(self):
         # these used to leak numpy's ValueError / TypeError
-        for seed in (-1, 1.5, "x", None):
+        for seed in (-1, 1.5, "x"):
             with pytest.raises(DomainError):
                 semicircle_sample(seed, 3)
+        # None still draws a fresh, unseeded stream
+        unseeded = semicircle_sample(None, 100)
+        assert unseeded.shape == (100,) and np.all(np.abs(unseeded) <= 2.0)
         assert np.array_equal(semicircle_sample(np.int64(42), 100), semicircle_sample(42, 100))
 
 
