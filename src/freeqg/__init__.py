@@ -21,10 +21,8 @@ output; see :mod:`freeqg.cli`.
 
 from .chebyshev import (
     DEFAULT_T0,
-    ChebyParams,
     cheby_coeffs,
     cheby_u,
-    cheby_u_grid,
     coeff_ratio,
     coeff_ratios,
     decay_constant,
@@ -56,18 +54,14 @@ from .fusion_orth import (
 from .multipliers import (
     DEFAULT_ENTRY_CAP,
     BoundParams,
-    CentralStateO,
     Group,
     MultiplierCoeffs,
     TruncationCertificate,
     a_coeff,
     a_coeff_from_form,
     approx_identity_weights,
-    central_coeff_orth,
     choose_truncation,
     k_a,
-    net_l2_norm,
-    poisson_coeff,
     r_of,
     tail_bound_orth,
     tail_bound_unitary,
@@ -88,8 +82,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlternatingForm",
     "BoundParams",
-    "CentralStateO",
-    "ChebyParams",
     "DEFAULT_ENTRY_CAP",
     "DEFAULT_T0",
     "DomainError",
@@ -106,12 +98,10 @@ __all__ = [
     "alternating_form",
     "approx_identity_weights",
     "catalan",
-    "central_coeff_orth",
     "char_expand_oracle",
     "char_moment_orth",
     "cheby_coeffs",
     "cheby_u",
-    "cheby_u_grid",
     "choose_truncation",
     "coeff_ratio",
     "coeff_ratios",
@@ -126,8 +116,6 @@ __all__ = [
     "fuse_unitary",
     "involution",
     "k_a",
-    "net_l2_norm",
-    "poisson_coeff",
     "q_of",
     "r_of",
     "semicircle_cdf",

@@ -5,15 +5,15 @@ import operator
 from .errors import DomainError
 
 
-def as_int(value, name: str) -> int:
+def as_int(value, name: str, minimum: int | None = None) -> int:
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def as_nonneg_int(value, name: str) -> int:
-    value = as_int(value, name)
-    if value < 0:
-        raise DomainError(f"{name} must be >= 0, got {value}")
-    return value
+    return as_int(value, name, 0)

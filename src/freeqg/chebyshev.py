@@ -20,7 +20,6 @@ holds and the test suite uses it as a cross-check, but it degenerates at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
 
@@ -39,30 +38,6 @@ def _check_t0(t0: float) -> float:
     return t0
 
 
-@dataclass(frozen=True)
-class ChebyParams:
-    """Dimension parameter N and decay anchor t0 for one multiplier family."""
-
-    N: int
-    t0: float = DEFAULT_T0
-
-    def __post_init__(self):
-        object.__setattr__(self, "N", as_int(self.N, "N"))
-        if self.N < 2:
-            raise DomainError(f"N must be >= 2, got {self.N}")
-        object.__setattr__(self, "t0", _check_t0(self.t0))
-
-    @property
-    def q_N(self) -> float:
-        """q(N), the larger root of q + 1/q = N."""
-        return q_of(self.N)
-
-    @property
-    def decay_c(self) -> float:
-        """The decay constant attached to t0."""
-        return decay_constant(self.t0)
-
-
 def cheby_u(n, x):
     """Evaluate u_n(x) by the three-term recursion.
 
@@ -77,21 +52,6 @@ def cheby_u(n, x):
     for _ in range(n - 1):
         prev, cur = cur, x * cur - prev
     return cur
-
-
-def cheby_u_grid(n_max, xs) -> np.ndarray:
-    """Rows u_0(xs) .. u_{n_max}(xs) for an array of evaluation points."""
-    import numpy as np
-
-    n_max = as_nonneg_int(n_max, "n_max")
-    xs = np.asarray(xs, dtype=float)
-    out = np.empty((n_max + 1,) + xs.shape)
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = xs
-    for n in range(1, n_max):
-        out[n + 1] = xs * out[n] - out[n - 1]
-    return out
 
 
 def cheby_coeffs(n) -> list[int]:
@@ -117,7 +77,7 @@ def q_of(t) -> float:
     return (t + math.sqrt(t * t - 4.0)) / 2.0
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _dim_orth(n: int, N: int) -> int:
     prev, cur = 1, N
     if n == 0:
@@ -134,10 +94,7 @@ def dim_orth(n, N) -> int:
     like q(N)**n, so the result is an arbitrary-precision integer.
     """
     n = as_nonneg_int(n, "n")
-    N = as_int(N, "N")
-    if N < 2:
-        raise DomainError(f"N must be >= 2, got {N}")
-    return _dim_orth(n, N)
+    return _dim_orth(n, as_int(N, "N", 2))
 
 
 def _ratios(m: int, t: float, N: int) -> list[float]:
@@ -162,12 +119,17 @@ def _overflow_error(n: int, N: int) -> DomainError:
     return DomainError(f"u_n(N) overflows a double at level n={n} for N={N}")
 
 
-@lru_cache(maxsize=None)
-def _ratio(n: int, t: float, N: int) -> float:
-    ratios = _ratios(n, t, N)
-    if len(ratios) <= n:
-        raise _overflow_error(n, N)
-    return ratios[n]
+#: u_n(3) is the smallest u_n(N) for N >= 3 and stays finite up to n = 737.
+_TOP_LEVEL = 737
+
+
+@lru_cache(maxsize=32)
+def _net(t: float, N: int) -> tuple[float, tuple[float, ...]]:
+    # r(t) and every ratio u_n(t)/u_n(N) below the level where u_n(N)
+    # overflows, for arguments that _check_ratio_args has already returned:
+    # keyed on its float t and int N, never on what a caller passed
+    r = (1.0 - q_of(t) ** -2) / (1.0 - q_of(N) ** -2)
+    return r, tuple(_ratios(_TOP_LEVEL, t, N))
 
 
 def coeff_ratio(n, t, N, t0=DEFAULT_T0) -> float:
@@ -179,7 +141,10 @@ def coeff_ratio(n, t, N, t0=DEFAULT_T0) -> float:
     """
     n = as_nonneg_int(n, "n")
     t, N = _check_ratio_args(t, N, t0)
-    return _ratio(n, t, N)
+    ratios = _net(t, N)[1]
+    if n >= len(ratios):
+        raise _overflow_error(n, N)
+    return ratios[n]
 
 
 def coeff_ratios(m, t, N, t0=DEFAULT_T0) -> list[float]:
@@ -200,9 +165,17 @@ def coeff_ratios(m, t, N, t0=DEFAULT_T0) -> list[float]:
 
 
 def _check_ratio_args(t, N, t0) -> tuple[float, int]:
-    N = as_int(N, "N")
-    if N < 3:
-        raise DomainError(f"N must be >= 3, got {N}")
+    """(float t, int N) of a net, after checking N >= 3, t0 in (2, 3), t in [t0, N].
+
+    The one check of these arguments in the package.  N must also convert
+    to a double, which every float evaluation of the net needs.
+    """
+    N = as_int(N, "N", 3)
+    try:
+        float(N)
+    except OverflowError:
+        bits = N.bit_length()
+        raise DomainError(f"N must convert to a double, got an integer of {bits} bits") from None
     t0 = _check_t0(t0)
     t = float(t)
     if not t0 <= t <= N:

@@ -155,10 +155,6 @@ def _parse_label(token: str, group: Group):
     return word_parse(token)
 
 
-def _label_str(label) -> str:
-    return str(label)
-
-
 def cmd_fuse(args) -> tuple[dict, int]:
     group = Group.coerce(args.group)
     labels = [_parse_label(tok, group) for tok in args.operands]
@@ -174,12 +170,12 @@ def cmd_fuse(args) -> tuple[dict, int]:
             decomposition = dict(sorted(acc.items(), key=lambda kv: (len(kv[0]), kv[0])))
     rows = []
     for label, mult in decomposition.items():
-        row = {"label": _label_str(label), "multiplicity": str(mult)}
+        row = {"label": str(label), "multiplicity": str(mult)}
         if args.N is not None:
             dim = dim_orth(label, args.N) if group is Group.ORTH else dim_unitary(label, args.N)
             row["dimension"] = str(dim)
         rows.append(row)
-    params = {"group": group.value, "operands": [_label_str(l) for l in labels], "N": args.N}
+    params = {"group": group.value, "operands": [str(l) for l in labels], "N": args.N}
     return {"command": "fuse", "params": params, "rows": rows}, EXIT_OK
 
 
@@ -189,7 +185,7 @@ def cmd_dims(args) -> tuple[dict, int]:
     rows = []
     for label in labels:
         dim = dim_orth(label, args.N) if group is Group.ORTH else dim_unitary(label, args.N)
-        rows.append({"label": _label_str(label), "dimension": str(dim)})
+        rows.append({"label": str(label), "dimension": str(dim)})
     params = {"group": group.value, "N": args.N}
     return {"command": "dims", "params": params, "rows": rows}, EXIT_OK
 
@@ -199,7 +195,7 @@ def cmd_coeffs(args) -> tuple[dict, int]:
     table = truncated_coeffs(group, args.t, args.m, args.N, t0=args.t0, entry_cap=args.entry_cap)
     maxima = table.level_maxima()
     rows = [
-        {"label": _label_str(label), "level": (label if group is Group.ORTH else len(label)), "coeff": value}
+        {"label": str(label), "level": (label if group is Group.ORTH else len(label)), "coeff": value}
         for label, value in table.entries.items()
     ]
     params = {

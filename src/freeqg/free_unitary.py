@@ -28,7 +28,7 @@ from itertools import chain, product
 
 from ._util import as_int, as_nonneg_int
 from .chebyshev import dim_orth
-from .errors import DomainError, FormExpansionError, WordParseError
+from .errors import FormExpansionError, WordParseError
 
 ALPHABET = "ab"
 _SWAP = str.maketrans("ab", "ba")
@@ -124,7 +124,7 @@ class AlternatingForm:
     @property
     def eps_weight(self) -> int:
         """Number of nonzero circle exponents (the exponent of r(t))."""
-        return sum(1 for e in self.eps if e)
+        return len(self.eps) - self.eps.count(0)
 
 
 def alternating_form(w: str) -> AlternatingForm:
@@ -251,14 +251,7 @@ def char_expand_oracle(w: str) -> AlternatingForm:
     return _form_from_monomial(forms[-1])
 
 
-def _check_n(N) -> int:
-    N = as_int(N, "N")
-    if N < 2:
-        raise DomainError(f"N must be >= 2, got {N}")
-    return N
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def _dim_unitary(w: str, N: int) -> int:
     result = 1
     for k in alternating_form(w).blocks:
@@ -272,7 +265,7 @@ def dim_unitary(w: str, N) -> int:
     The circle factors have dimension 1, so only the orthogonal blocks
     contribute.  Agrees with :func:`dim_unitary_recursive`.
     """
-    return _dim_unitary(word_parse(w), _check_n(N))
+    return _dim_unitary(word_parse(w), as_int(N, "N", 2))
 
 
 def dim_unitary_recursive(w: str, N) -> int:
@@ -282,7 +275,7 @@ def dim_unitary_recursive(w: str, N) -> int:
     with the conjugate of s, else N*d(w).
     """
     w = word_parse(w)
-    N = _check_n(N)
+    N = as_int(N, "N", 2)
     dims = [1]
     for i, letter in enumerate(w):
         correction = dims[i - 1] if i >= 1 and w[i - 1] == involution(letter) else 0

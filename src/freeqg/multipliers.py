@@ -25,20 +25,20 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
-from ._util import as_int, as_nonneg_int
+from ._util import as_nonneg_int
 from .chebyshev import (
     DEFAULT_T0,
+    _check_ratio_args,
     _check_t0,
-    cheby_u,
-    coeff_ratio,
+    _net,
+    _overflow_error,
     coeff_ratios,
     decay_constant,
     dim_orth,
-    q_of,
 )
 from .errors import DomainError, ResourceCapError
 from .free_unitary import AlternatingForm, all_words, alternating_form, dim_unitary, word_parse
@@ -85,36 +85,6 @@ def _level(label) -> int:
 
 
 @dataclass(frozen=True)
-class CentralStateO(object):
-    """Point-evaluation state at t on the orthogonal character algebra.
-
-    The character algebra of the full C*-algebra is continuous functions on
-    [-N, N], so any t with |t| <= N gives a state; it sends the level-n
-    character to u_n(t), and |u_n(t)| <= u_n(N) throughout the interval.
-    """
-
-    t: float
-    N: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "N", as_int(self.N, "N"))
-        if self.N < 3:
-            raise DomainError(f"N must be >= 3, got {self.N}")
-        object.__setattr__(self, "t", float(self.t))
-        if abs(self.t) > self.N:
-            raise DomainError(f"t must lie in [-{self.N}, {self.N}], got {self.t}")
-
-    def char_value(self, n) -> float:
-        """Value u_n(t) of the state on the level-n character."""
-        return cheby_u(n, self.t)
-
-
-def central_coeff_orth(n, state: CentralStateO) -> float:
-    """Level-n eigenvalue u_n(t)/u_n(N) of the central multiplier at the state."""
-    return state.char_value(n) / cheby_u(n, float(state.N))
-
-
-@dataclass(frozen=True)
 class MultiplierCoeffs:
     """Finite coefficient table of a central multiplier net.
 
@@ -123,7 +93,8 @@ class MultiplierCoeffs:
     carries exactly 1.  ``truncated`` distinguishes a genuinely finite net
     (a truncation, zero beyond the stored levels) from a stored window of the
     full net, whose unstored levels are dominated by the geometric envelope
-    ``decay_constant(t0) * (t/N)**level``.
+    ``decay_constant(t0) * (t/N)**level``.  ``t``, ``N`` and ``t0`` are
+    checked as :func:`~freeqg.chebyshev.coeff_ratio` checks them.
     """
 
     group: Group
@@ -136,11 +107,12 @@ class MultiplierCoeffs:
 
     def __post_init__(self):
         object.__setattr__(self, "group", Group.coerce(self.group))
-        object.__setattr__(self, "N", as_int(self.N, "N"))
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "t0", _check_t0(self.t0))
+        t, N = _check_ratio_args(self.t, self.N, self.t0)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "t0", float(self.t0))
         if self.group is Group.UNIT and self.r is None:
-            object.__setattr__(self, "r", r_of(self.t, self.N, self.t0))
+            object.__setattr__(self, "r", _net(t, N)[0])
         for label, value in self.entries.items():
             if not 0.0 < value <= 1.0 + BOUND_SLACK:
                 raise DomainError(f"coefficient at {label!r} is {value}, outside (0, 1]")
@@ -163,29 +135,12 @@ class MultiplierCoeffs:
         return decay_constant(self.t0), self.t / self.N
 
 
-def net_l2_norm(coeffs: MultiplierCoeffs) -> float:
-    """L2 operator norm of the table: the supremum of |coefficient|.
-
-    For the nets built here the coefficient families are dominated by a
-    decreasing envelope, so the supremum over stored labels is the exact
-    operator norm; an empty table has norm 0.
-    """
-    return max((abs(v) for v in coeffs.entries.values()), default=0.0)
-
-
 def r_of(t, N, t0=DEFAULT_T0) -> float:
     """Circle damping factor (1 - q(t)^-2)/(1 - q(N)^-2) for t in [t0, N].
 
     Lies in (0, 1], equals 1 exactly at t = N, and is strictly increasing.
     """
-    N = as_int(N, "N")
-    if N < 3:
-        raise DomainError(f"N must be >= 3, got {N}")
-    t0 = _check_t0(t0)
-    t = float(t)
-    if not t0 <= t <= N:
-        raise DomainError(f"t must lie in [{t0}, {N}], got {t}")
-    return (1.0 - q_of(t) ** -2) / (1.0 - q_of(N) ** -2)
+    return _net(*_check_ratio_args(t, N, t0))[0]
 
 
 def a_coeff_from_form(form: AlternatingForm, t, N, t0=DEFAULT_T0) -> float:
@@ -193,11 +148,17 @@ def a_coeff_from_form(form: AlternatingForm, t, N, t0=DEFAULT_T0) -> float:
 
     The block ratios multiply in sorted order so that reversing the word
     (whose form has the reversed block sequence) reproduces bit-identical
-    floats.
+    floats.  Raises :class:`~freeqg.errors.DomainError` for a block at a
+    level where u_k(N) overflows a double, as :func:`coeff_ratio` does.
     """
-    value = r_of(t, N, t0) ** form.eps_weight
-    for k in sorted(form.blocks):
-        value *= coeff_ratio(k, t, N, t0)
+    t, N = _check_ratio_args(t, N, t0)
+    r, ratios = _net(t, N)
+    value = r**form.eps_weight
+    try:
+        for k in sorted(form.blocks):
+            value *= ratios[k]
+    except IndexError:
+        raise _overflow_error(k, N) from None
     return value
 
 
@@ -336,22 +297,22 @@ class TruncationCertificate:
         return self.tail_bound <= self.target_eps
 
 
-def _check_tail_args(t, m, N, bounds: BoundParams):
-    N = as_int(N, "N")
-    if N < 3:
-        raise DomainError(f"N must be >= 3, got {N}")
-    m = as_nonneg_int(m, "m")
-    t = float(t)
-    if not bounds.t0 <= t < N:
-        raise DomainError(
-            f"t must lie in [{bounds.t0}, {N}) for a finite tail bound, got {t}"
-        )
-    return t, m, N
+def _check_tail_args(t, N, bounds: BoundParams) -> tuple[float, int]:
+    t, N = _check_ratio_args(t, N, bounds.t0)
+    if t == N:
+        raise DomainError(f"t must lie in [{bounds.t0}, {N}) for a finite tail bound, got {t}")
+    return t, N
 
 
 def _tail_bound(group: Group, t, m, N, bounds: BoundParams) -> float:
-    t, m, N = _check_tail_args(t, m, N, bounds)
-    coef, ratio, constant = decay_constant(bounds.t0), t / N, bounds.require(group)
+    t, N = _check_tail_args(t, N, bounds)
+    m = as_nonneg_int(m, "m")
+    return _checked_tail_bound(decay_constant(bounds.t0), t / N, m, bounds.require(group))
+
+
+def _checked_tail_bound(coef: float, ratio: float, m: int, constant: float) -> float:
+    # the tail bound at order m, for arguments that _tail_bound or
+    # choose_truncation has checked: coef = C_t0, ratio = t/N in (0, 1)
     ka_tail = tail_sup(coef, ratio, m + 1)
     bound = ultra_bound(ka_tail, constant)
     if math.isnan(bound):
@@ -418,29 +379,31 @@ def choose_truncation(t, eps, N, group, bounds: BoundParams) -> TruncationCertif
     evaluations.  The search returns the order a scan m = 0, 1, 2, ... would:
     in floats the bound can rise by an ulp at the one order where the
     envelope's stop test first passes, but every smaller order then shares
-    the bound at m = 0, which is checked first.  The returned certificate
-    carries the bound value actually achieved.
+    the bound at m = 0, which is checked first.  The arguments are checked
+    once, before the search.  The returned certificate carries the bound
+    value actually achieved.
     """
     eps = float(eps)
     if not 0.0 < eps < math.inf:
         raise DomainError(f"eps must be finite and > 0, got {eps}")
     group = Group.coerce(group)
-    bound_fn = tail_bound_orth if group is Group.ORTH else tail_bound_unitary
-    bound = bound_fn(t, 0, N, bounds)
+    t, N = _check_tail_args(t, N, bounds)
+    coef, ratio, constant = decay_constant(bounds.t0), t / N, bounds.require(group)
+    bound = _checked_tail_bound(coef, ratio, 0, constant)
     if bound <= eps:
-        return TruncationCertificate(t=float(t), m=0, tail_bound=bound, target_eps=eps)
+        return TruncationCertificate(t=t, m=0, tail_bound=bound, target_eps=eps)
     lo, hi = 0, 1
-    while (bound := bound_fn(t, hi, N, bounds)) > eps:
+    while (bound := _checked_tail_bound(coef, ratio, hi, constant)) > eps:
         lo, hi = hi, 2 * hi
     # bound(lo) > eps >= bound(hi) == bound
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        mid_bound = bound_fn(t, mid, N, bounds)
+        mid_bound = _checked_tail_bound(coef, ratio, mid, constant)
         if mid_bound <= eps:
             hi, bound = mid, mid_bound
         else:
             lo = mid
-    return TruncationCertificate(t=float(t), m=hi, tail_bound=bound, target_eps=eps)
+    return TruncationCertificate(t=t, m=hi, tail_bound=bound, target_eps=eps)
 
 
 def truncated_coeffs(group, t, m, N, t0=DEFAULT_T0, entry_cap=DEFAULT_ENTRY_CAP) -> MultiplierCoeffs:
@@ -526,11 +489,9 @@ def approx_identity_weights(group, t, m, N, t0=DEFAULT_T0, entry_cap=DEFAULT_ENT
     """
     group = Group.coerce(group)
     m = as_nonneg_int(m, "m")
-    N = as_int(N, "N")
-    t0 = _check_t0(t0)
-    t = float(t)
-    if not t0 <= t < N:
-        raise DomainError(f"t must lie in [{t0}, {N}), got {t}")
+    t, N = _check_ratio_args(t, N, t0)
+    if t == N:
+        raise DomainError(f"t must lie in [{float(t0)}, {N}), got {t}")
     if group is Group.ORTH:
         return [
             (n, ratio * _float_dim(dim_orth(n, N), n))
@@ -546,11 +507,3 @@ def _float_dim(dim: int, label) -> float:
         return float(dim)
     except OverflowError:
         raise DomainError(f"the dimension at label {label!r} overflows a double") from None
-
-
-def poisson_coeff(r, n) -> float:
-    """Fourier coefficient r**|n| of the Poisson kernel on the circle."""
-    r = float(r)
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"r must lie in [0, 1), got {r}")
-    return r ** abs(as_int(n, "n"))

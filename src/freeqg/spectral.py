@@ -60,9 +60,7 @@ def semicircle_moment(k, subdivisions: int = 10_000) -> float:
     at least 64).
     """
     k = as_nonneg_int(k, "k")
-    subdivisions = as_int(subdivisions, "subdivisions")
-    if subdivisions < 64:
-        raise DomainError(f"subdivisions must be >= 64, got {subdivisions}")
+    subdivisions = as_int(subdivisions, "subdivisions", 64)
     import numpy as np
 
     panels = subdivisions + (subdivisions % 2)
@@ -87,9 +85,7 @@ def semicircle_sample(seed, count) -> np.ndarray:
     """
     if seed is not None:
         seed = as_nonneg_int(seed, "seed")
-    count = as_int(count, "count")
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
+    count = as_int(count, "count", 1)
     import numpy as np
 
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -112,9 +108,7 @@ def spectrum_interval(algebra: str, N) -> tuple[float, float]:
     In the reduced algebra the spectrum is [-2, 2] for every N; in the full
     algebra it is [-N, N].  ``algebra`` is ``"reduced"`` or ``"full"``.
     """
-    N = as_int(N, "N")
-    if N < 2:
-        raise DomainError(f"N must be >= 2, got {N}")
+    N = as_int(N, "N", 2)
     key = str(algebra).strip().lower()
     if key == "reduced":
         return (-2.0, 2.0)

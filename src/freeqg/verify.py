@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import random
 
-from .chebyshev import DEFAULT_T0, cheby_u, coeff_ratios, decay_constant, dim_orth
+from ._util import as_int, as_nonneg_int
+from .chebyshev import DEFAULT_T0, _check_ratio_args, cheby_u, coeff_ratios, decay_constant
 from .fusion_orth import catalan, char_moment_orth, dim_check_fusion, fuse_orth, fuse_orth_many
 from .free_unitary import (
     all_words,
@@ -33,6 +34,8 @@ def _random_word(rng: random.Random, max_len: int) -> str:
 
 def verify_fusion(max_label: int = 10, unit_max_len: int = 5) -> list[Check]:
     """Structural identities of both fusion rings."""
+    max_label = as_nonneg_int(max_label, "max_label")
+    unit_max_len = as_nonneg_int(unit_max_len, "unit_max_len")
     checks: list[Check] = []
 
     pairs = [(r, s) for r in range(max_label + 1) for s in range(max_label + 1)]
@@ -87,6 +90,7 @@ def verify_fusion(max_label: int = 10, unit_max_len: int = 5) -> list[Check]:
 
 def verify_moments(max_m: int = 8, subdivisions: int = 10_000) -> list[Check]:
     """Three-way agreement of the fundamental character moments."""
+    max_m = as_nonneg_int(max_m, "max_m")
     checks: list[Check] = []
     even_fail = 0
     for m in range(max_m + 1):
@@ -107,7 +111,7 @@ def verify_moments(max_m: int = 8, subdivisions: int = 10_000) -> list[Check]:
 
 def verify_forms(max_len: int = 10) -> list[Check]:
     """Run-rule forms against the expansion oracle, plus shape invariants."""
-    words = list(all_words(max_len))
+    words = list(all_words(as_nonneg_int(max_len, "max_len")))
     eq_fail = 0
     shape_fail = 0
     for w in words:
@@ -134,6 +138,10 @@ def verify_dims(
     seed: int = 42,
 ) -> list[Check]:
     """Dimension multiplicativity over fusion, exact in big integers."""
+    max_label = as_nonneg_int(max_label, "max_label")
+    exhaustive_len = as_nonneg_int(exhaustive_len, "exhaustive_len")
+    random_pairs = as_nonneg_int(random_pairs, "random_pairs")
+    random_len = as_nonneg_int(random_len, "random_len")
     checks: list[Check] = []
 
     cases = 0
@@ -194,7 +202,15 @@ def verify_decay(
     max_len: int = 8,
     t0: float = DEFAULT_T0,
 ) -> list[Check]:
-    """Geometric decay, contraction range, and monotonicity of the nets."""
+    """Geometric decay, contraction range, and monotonicity of the nets.
+
+    Each t-grid runs from t0 to N, so it needs ``grid_points >= 2``.
+    """
+    grid_points = as_int(grid_points, "grid_points", 2)
+    max_n = as_nonneg_int(max_n, "max_n")
+    max_len = as_nonneg_int(max_len, "max_len")
+    # every N of the suite must carry a net on [t0, N]
+    ns = tuple(_check_ratio_args(t0, n, t0)[1] for n in ns)
     import numpy as np
 
     checks: list[Check] = []

@@ -7,11 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from freeqg import (
-    ChebyParams,
     DomainError,
     cheby_coeffs,
     cheby_u,
-    cheby_u_grid,
     coeff_ratio,
     coeff_ratios,
     decay_constant,
@@ -53,12 +51,6 @@ class TestChebyU:
     def test_rejects_negative_order(self):
         with pytest.raises(DomainError):
             cheby_u(-1, 3.0)
-
-    def test_grid_matches_scalar(self):
-        xs = np.linspace(2.0, 6.0, 17)
-        grid = cheby_u_grid(12, xs)
-        for n in (0, 1, 7, 12):
-            assert grid[n] == pytest.approx([cheby_u(n, float(x)) for x in xs], rel=1e-14)
 
 
 class TestChebyCoeffs:
@@ -209,16 +201,3 @@ class TestDecayConstant:
                     ratio = coeff_ratio(n, float(t), N)
                     assert 0.0 < ratio <= c * (float(t) / N) ** n + 1e-12
 
-
-class TestChebyParams:
-    def test_valid(self):
-        params = ChebyParams(N=4)
-        assert params.t0 == 2.5
-        assert params.q_N == pytest.approx(2 + math.sqrt(3))
-        assert params.decay_c == pytest.approx(4.0 / 3.0)
-
-    def test_invalid(self):
-        with pytest.raises(DomainError):
-            ChebyParams(N=1)
-        with pytest.raises(DomainError):
-            ChebyParams(N=4, t0=3.0)

@@ -232,6 +232,22 @@ class TestVerify:
         assert code == 0
         assert all(row["failures"] == 0 for row in record["rows"])
 
+    @pytest.mark.parametrize("argv", [
+        ("decay", "--grid", "-1"),
+        ("decay", "--grid", "0"),
+        ("decay", "--grid", "1", "--N", "3"),
+        ("fusion", "--max-label", "-1"),
+        ("dims", "--samples", "-1"),
+    ], ids=["grid-neg", "grid-0", "grid-1", "max-label-neg", "samples-neg"])
+    def test_unusable_sizes_are_domain_errors(self, capsys, argv):
+        # these leaked ValueError/IndexError, gave a false FAIL (grid 1) or
+        # passed on negative case counts
+        code = cli.main(["verify", *argv])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "domain error" in captured.err
+
 
 class TestFormatsAndErrors:
     def test_csv_output(self, capsys):
@@ -257,6 +273,19 @@ class TestFormatsAndErrors:
 
     def test_negative_level_is_domain_error(self, capsys):
         assert run(capsys, "fuse", "--group", "o", "--", "-1")[0] == 3
+
+    @pytest.mark.parametrize("argv", [
+        ("certify", "--group", "o", "--t", "2.9", "--N", str(2**1024), "--eps", "1e-3", "--D", "1"),
+        ("coeffs", "--group", "o", "--t", "2.9", "--N", str(2**1024), "--m", "3"),
+    ], ids=["certify", "coeffs"])
+    def test_n_beyond_doubles_is_domain_error(self, capsys, argv):
+        # float(N) used to leak OverflowError: int too large to convert to float
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert "N must convert to a double" in captured.err
 
     def test_json_is_sorted_and_deterministic(self, capsys):
         _, first = run(capsys, "coeffs", "--group", "o", "--t", "2.7", "--N", "4", "--m", "3")
@@ -304,6 +333,22 @@ class TestProcessState:
             "fuse": [False, 0],
             "verify": [True, 0],
         }
+
+    def test_module_caches_are_bounded(self):
+        # a process serving many requests must not grow a cache without
+        # limit; the parser cache takes no arguments, so it holds one entry
+        import importlib
+        import pkgutil
+
+        import freeqg
+
+        unbounded = []
+        for info in pkgutil.iter_modules(freeqg.__path__):
+            module = importlib.import_module(f"freeqg.{info.name}")
+            for name, value in vars(module).items():
+                if hasattr(value, "cache_info") and value.cache_info().maxsize is None:
+                    unbounded.append(f"{info.name}.{name}")
+        assert unbounded == ["cli._build_parser"]
 
     def test_in_process_sequence_matches_fresh_processes(self, capsys, src_env):
         decay = ["verify", "decay", "--grid", "2", "--max-len", "2"]

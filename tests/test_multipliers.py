@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from freeqg import (
     BoundParams,
-    CentralStateO,
     DomainError,
     Group,
     MultiplierCoeffs,
@@ -21,7 +20,6 @@ from freeqg import (
     all_words,
     alternating_form,
     approx_identity_weights,
-    central_coeff_orth,
     cheby_u,
     choose_truncation,
     coeff_ratio,
@@ -29,8 +27,6 @@ from freeqg import (
     dim_unitary,
     involution,
     k_a,
-    net_l2_norm,
-    poisson_coeff,
     q_of,
     r_of,
     tail_bound_orth,
@@ -98,46 +94,13 @@ def stop_level(ratio):
     return n
 
 
-class TestCentralState:
-    def test_examples(self):
-        state = CentralStateO(t=2.5, N=5)
-        assert central_coeff_orth(0, state) == 1.0
-        assert central_coeff_orth(2, state) == pytest.approx(5.25 / 24, rel=1e-15)
-        assert central_coeff_orth(7, CentralStateO(t=4.0, N=4)) == 1.0
-
-    def test_negative_t_allowed_and_bounded(self):
-        state = CentralStateO(t=-3.0, N=4)
-        for n in range(30):
-            assert abs(central_coeff_orth(n, state)) <= 1.0
-
-    def test_state_domain_bound(self):
-        for N in (3, 4, 6):
-            for t in np.linspace(-N, N, 41):
-                for n in range(61):
-                    assert abs(cheby_u(n, float(t))) <= cheby_u(n, float(N)) * (1 + 1e-12)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            CentralStateO(t=5.5, N=5)
-        with pytest.raises(DomainError):
-            CentralStateO(t=1.0, N=2)
-
-
-class TestNetL2Norm:
-    def test_full_table_norm_is_one(self):
-        table = truncated_coeffs("o", 2.7, 8, 4)
-        assert net_l2_norm(table) == 1.0
-
-    def test_tail_window_norm_is_leading_entry(self):
-        m = 3
-        entries = {n: coeff_ratio(n, 2.5, 4) for n in range(m + 1, 30)}
-        table = MultiplierCoeffs("o", entries, t=2.5, N=4)
-        assert net_l2_norm(table) == entries[m + 1]
-        assert all(entries[n + 1] < entries[n] for n in range(m + 1, 29))
-
-    def test_empty_table(self):
-        table = MultiplierCoeffs("o", {}, t=2.5, N=4)
-        assert net_l2_norm(table) == 0.0
+def test_state_domain_bound():
+    # |u_n(t)| <= u_n(N) on [-N, N]: the point evaluations of the full
+    # character algebra are states
+    for N in (3, 4, 6):
+        for t in np.linspace(-N, N, 41):
+            for n in range(61):
+                assert abs(cheby_u(n, float(t))) <= cheby_u(n, float(N)) * (1 + 1e-12)
 
 
 class TestRandACoeff:
@@ -184,6 +147,36 @@ class TestRandACoeff:
         for w in all_words(7):
             for t in (2.5, 3.1, 3.9):
                 assert 0.0 < a_coeff(w, t, 4) <= c * (t / 4.0) ** len(w) + 1e-12
+
+
+class TestNetMemo:
+    """coeff_ratio, r_of and a_coeff_from_form share one memo per (t, N)."""
+
+    def test_numpy_scalars_give_plain_float_bits(self):
+        form = alternating_form("aabab")
+        for t, N in ((2.71828, 7), (2.5, 3), (3.0, 3)):
+            # numpy arguments first, so a memo keyed on them would fill first
+            nt, nN = np.float64(t), np.int64(N)
+            from_numpy = (coeff_ratio(5, nt, nN), r_of(nt, nN), a_coeff_from_form(form, nt, nN))
+            plain = (coeff_ratio(5, t, N), r_of(t, N), a_coeff_from_form(form, t, N))
+            assert [type(v) for v in from_numpy + plain] == [float] * 6
+            assert from_numpy == plain
+
+    def test_float_n_after_int_n_still_rejected(self):
+        form = alternating_form("ab")
+        assert coeff_ratio(2, 2.9, 3) > 0.0 and r_of(2.9, 3) > 0.0
+        assert a_coeff_from_form(form, 2.9, 3) > 0.0
+        for call in (lambda: coeff_ratio(2, 2.9, 3.0), lambda: r_of(2.9, 3.0),
+                     lambda: a_coeff_from_form(form, 2.9, 3.0)):
+            with pytest.raises(DomainError, match="N must be an integer"):
+                call()
+
+    def test_block_past_double_overflow(self):
+        form = alternating_form("ab" * 369)
+        assert form.blocks == (738,)
+        with pytest.raises(DomainError, match="level n=738 for N=3"):
+            a_coeff_from_form(form, 2.9, 3)
+        assert 0.0 < a_coeff_from_form(alternating_form("ab" * 368 + "a"), 2.9, 3)
 
 
 class TestTailSup:
@@ -561,20 +554,6 @@ class TestApproxIdentityWeights:
     def test_dimension_overflow_is_domain_error(self):
         with pytest.raises(DomainError, match="738"):
             approx_identity_weights("o", 2.9, 800, 3)
-
-
-class TestPoisson:
-    def test_examples(self):
-        assert poisson_coeff(0.7, 0) == 1.0
-        assert poisson_coeff(0.5, -3) == 0.125
-        assert poisson_coeff(0.0, 4) == 0.0
-        assert poisson_coeff(0.0, 0) == 1.0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            poisson_coeff(1.0, 2)
-        with pytest.raises(DomainError):
-            poisson_coeff(-0.1, 2)
 
 
 class TestGroup:
