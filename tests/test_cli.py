@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freeqg import cli
+from freeqg import AlternatingForm, cli, verify
 
 
 def run(capsys, *argv):
@@ -231,6 +231,106 @@ class TestVerify:
                                 "--max-len", "4")
         assert code == 0
         assert all(row["failures"] == 0 for row in record["rows"])
+
+    # sha256 of stdout, recorded before the suites took their records from
+    # one tally: each suite at its defaults and at one smaller setting
+    @pytest.mark.parametrize("argv,digest", [
+        ("fusion", "1c860096c49665f20794de54c60b61c40cc3c668fbcf806bea5c0d43f1f514e6"),
+        ("moments", "5f7ba7d83e2d703c12c9afef27e322d91fc910a8eab09062b4962d7ff0763be0"),
+        ("forms", "64279d75edef95d653271f7355b606fd8d62c3a52e3d0620d8707326f77bac68"),
+        ("dims", "10f971af7ffd9f298d52a0886a59faaa64b153ade14d5afa67f7c4b7569c9892"),
+        ("decay", "433d9c1f99b1812f4fc4953bd2f8d69c3e9564b6fba9644371731154921903ac"),
+        ("fusion --max-label 4 --max-len 3",
+         "afaf6319d56cdd742c7cfaca0bf8d7f1eb59e17293fefa799be273bec7a0712b"),
+        ("moments --subdivisions 2000 --seed 3",
+         "a3de71bd621f4735b3480db33433d2bee851dd1758ef0281b65409b75a734294"),
+        ("forms --max-len 6", "1c89b2162eca599cb1892aafc9b32a103225ce6b3705ac10274fcbb8f593d441"),
+        ("dims --max-len 4 --samples 300 --seed 7 --max-label 9",
+         "993cf234f6f319ee2b8faaf9dba5d8d770f5410d20ded369375de2fc4f4dcc86"),
+        ("decay --N 3 --N 7 --grid 5 --max-len 5",
+         "77f22ad3124e7e801bcaa6efa455684713231fce073b49c97d500138420082b2"),
+    ])
+    def test_stdout_bytes_pinned(self, capsys, argv, digest):
+        code, out = run(capsys, "verify", *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_failure_counts(self, monkeypatch):
+        # One dependency per check is broken on a known set of cases, and
+        # every record must count exactly those: (check, cases, failures).
+        def patch(name, make):
+            monkeypatch.setattr(verify, name, make(getattr(verify, name)))
+
+        # fuse_orth doubles its multiplicities when r > s or r == 1;
+        # fuse_unitary adds the summand "b" + h twice when g == "a", which
+        # both repeats a length and a multiplicity (2 failures per case)
+        patch("fuse_orth", lambda real: lambda r, s: (
+            {k: 2 for k in real(r, s)} if r > s or r == 1 else real(r, s)))
+        patch("fuse_unitary", lambda real: lambda g, h: (
+            {**real(g, h), "b" + h: 2} if g == "a" else real(g, h)))
+        words = 15  # of length <= 3
+        assert verify.verify_fusion(max_label=4, unit_max_len=3) == [
+            ("orth_multiplicity_free", 25, 10 + 4),  # r > s, and (1, s >= 1)
+            ("orth_commutative", 25, 20 - 6),  # r != s, but not (1, s), (s, 1) for s >= 2
+            ("orth_char_recursion", 4, 4),
+            ("orth_associative", 125, 5 * 14),  # (b, c) doubled, for any a
+            ("unit_multiplicity_free", words**2, 2 * words),
+            ("unit_conjugation_symmetry", words**2, 2 * words - 1),  # g == "a" or h == "b"
+        ]
+
+        monkeypatch.undo()
+        patch("catalan", lambda real: lambda m: real(m) + m % 2)
+        patch("char_moment_orth", lambda real: lambda k: real(k) + (k % 4 == 3))
+        assert verify.verify_moments(max_m=8) == [
+            ("moment_triple_even", 9, 4),  # m = 1, 3, 5, 7
+            ("moment_odd_zero", 9, 4),  # k = 3, 7, 11, 15
+        ]
+
+        monkeypatch.undo()
+        # the oracle reads every odd-length word as the unit; the run rule
+        # drops the last letter of words ending in "bb"
+        patch("char_expand_oracle", lambda real: lambda w: (
+            AlternatingForm((0,), ()) if len(w) % 2 else real(w)))
+        patch("alternating_form", lambda real: lambda w: (
+            real(w[:-1]) if w.endswith("bb") else real(w)))
+        assert verify.verify_forms(max_len=6) == [
+            ("form_oracle_equality", 127, 42 + 1 + 4 + 16),  # odd lengths, even ones ending "bb"
+            ("form_shape", 127, 1 + 2 + 4 + 8 + 16),  # ending "bb", lengths 2..6
+        ]
+
+        monkeypatch.undo()
+        patch("dim_check_fusion", lambda real: lambda r, s, n: real(r, s, n) and (r + s) % 2 == 0)
+        patch("dim_check_fusion_unitary", lambda real: lambda g, h, n: real(g, h, n) and n != 4)
+        patch("dim_unitary_recursive", lambda real: lambda w, n: real(w, n) + (n == 3))
+        assert verify.verify_dims(max_label=4, exhaustive_len=2, random_pairs=50, random_len=4,
+                                  seed=5) == [
+            ("orth_dim_consistency", 4 * 25, 4 * 12),  # r + s odd, at each of 4 N
+            ("unit_dim_consistency_exhaustive", 2 * 49, 49),  # 7 words of length <= 2
+            ("unit_dim_consistency_random", 2 * 50, 50),
+            ("unit_dim_two_routes", 3 * (31 + 5), 31 + 5),  # at N = 3 only
+        ]
+
+        monkeypatch.undo()
+        # the level-1 ratio reads -t/N, which is negative and falls in t;
+        # a_t reads 0 on odd-length words; u_0 reads 2 at negative x
+        def coeff_ratios(real):
+            def patched(m, t, N, t0):
+                values = list(real(m, t, N, t0))
+                values[1] = -t / N
+                return values
+            return patched
+
+        patch("coeff_ratios", coeff_ratios)
+        patch("a_coeff_from_form", lambda real: lambda form, t, N, t0: (
+            0.0 if form.length % 2 else real(form, t, N, t0)))
+        patch("cheby_u", lambda real: lambda n, x: real(n, x) + (n == 0 and x < 0))
+        assert verify.verify_decay(ns=(3, 4), grid_points=4, max_n=6, max_len=3) == [
+            ("orth_coeff_decay", 2 * 4 * 7, 2 * 4),
+            ("unit_coeff_decay", 2 * 4 * 15, 2 * 4 * 10),  # 10 words of odd length <= 3
+            # per N at level 1: the value at t = N is not 1, and 3 falls in t
+            ("orth_coeff_monotone_in_t", 2 * 6 * 4, 2 * (1 + 3)),
+            ("central_state_bound", 2 * 4 * 7, 2 * 2),  # grid -N, -N/3, N/3, N
+        ]
 
     @pytest.mark.parametrize("argv", [
         ("decay", "--grid", "-1"),

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freeqg import (
@@ -19,6 +19,20 @@ from freeqg import (
 )
 
 words = st.text(alphabet="ab", max_size=12)
+
+
+def reference_fuse_unitary(g, h):
+    # fuse_unitary as it was before it read its summands off the common
+    # prefix of involution(g) and h: try every cut, parsing each suffix again
+    g = word_parse(g)
+    h = word_parse(h)
+    terms = {}
+    for cut in range(len(g) + 1):
+        sigma = g[cut:]
+        if h.startswith(involution(sigma)):
+            term = g[:cut] + h[len(sigma):]
+            terms[term] = terms.get(term, 0) + 1
+    return dict(sorted(terms.items(), key=lambda kv: (len(kv[0]), kv[0])))
 
 
 class TestWordParse:
@@ -73,6 +87,24 @@ class TestFuseUnitary:
         terms = fuse_unitary(g, h)
         conjugated = fuse_unitary(involution(h), involution(g))
         assert conjugated == {involution(term): mult for term, mult in terms.items()}
+
+    @settings(max_examples=500)
+    @given(words, words)
+    def test_matches_reference(self, g, h):
+        assert list(fuse_unitary(g, h).items()) == list(reference_fuse_unitary(g, h).items())
+
+    def test_matches_reference_exhaustively(self):
+        pool = list(all_words(5))
+        for g in pool:
+            for h in pool:
+                assert list(fuse_unitary(g, h).items()) == list(reference_fuse_unitary(g, h).items())
+
+    @pytest.mark.parametrize("bad", ["c", "aAb", "a b", 3, None])
+    def test_bad_letter_is_parse_error(self, bad):
+        with pytest.raises(WordParseError):
+            fuse_unitary(bad, "ab")
+        with pytest.raises(WordParseError):
+            fuse_unitary("ab", bad)
 
 
 class TestAlternatingForm:
