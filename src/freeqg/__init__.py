@@ -39,6 +39,7 @@ from .free_unitary import (
     dim_unitary,
     dim_unitary_recursive,
     fuse_unitary,
+    fuse_unitary_many,
     involution,
     word_parse,
     words_of_length,
@@ -114,6 +115,7 @@ __all__ = [
     "fuse_orth",
     "fuse_orth_many",
     "fuse_unitary",
+    "fuse_unitary_many",
     "involution",
     "k_a",
     "q_of",

@@ -18,7 +18,7 @@ import sys
 
 from .chebyshev import DEFAULT_T0, decay_constant, dim_orth
 from .errors import DomainError, ResourceCapError, WordParseError
-from .free_unitary import dim_unitary, fuse_unitary, word_parse
+from .free_unitary import dim_unitary, fuse_unitary_many, word_parse
 from .fusion_orth import fuse_orth_many
 from .multipliers import (
     DEFAULT_ENTRY_CAP,
@@ -158,22 +158,13 @@ def _parse_label(token: str, group: Group):
 def cmd_fuse(args) -> tuple[dict, int]:
     group = Group.coerce(args.group)
     labels = [_parse_label(tok, group) for tok in args.operands]
-    if group is Group.ORTH:
-        decomposition = fuse_orth_many(labels)
-    else:
-        decomposition = {labels[0]: 1}
-        for nxt in labels[1:]:
-            acc: dict[str, int] = {}
-            for term, mult in decomposition.items():
-                for new_term, m2 in fuse_unitary(term, nxt).items():
-                    acc[new_term] = acc.get(new_term, 0) + mult * m2
-            decomposition = dict(sorted(acc.items(), key=lambda kv: (len(kv[0]), kv[0])))
+    orth = group is Group.ORTH
+    fuse_many, dim = (fuse_orth_many, dim_orth) if orth else (fuse_unitary_many, dim_unitary)
     rows = []
-    for label, mult in decomposition.items():
+    for label, mult in fuse_many(labels).items():
         row = {"label": str(label), "multiplicity": str(mult)}
         if args.N is not None:
-            dim = dim_orth(label, args.N) if group is Group.ORTH else dim_unitary(label, args.N)
-            row["dimension"] = str(dim)
+            row["dimension"] = str(dim(label, args.N))
         rows.append(row)
     params = {"group": group.value, "operands": [str(l) for l in labels], "N": args.N}
     return {"command": "fuse", "params": params, "rows": rows}, EXIT_OK
@@ -182,10 +173,8 @@ def cmd_fuse(args) -> tuple[dict, int]:
 def cmd_dims(args) -> tuple[dict, int]:
     group = Group.coerce(args.group)
     labels = [_parse_label(tok, group) for tok in args.labels]
-    rows = []
-    for label in labels:
-        dim = dim_orth(label, args.N) if group is Group.ORTH else dim_unitary(label, args.N)
-        rows.append({"label": str(label), "dimension": str(dim)})
+    dim = dim_orth if group is Group.ORTH else dim_unitary
+    rows = [{"label": str(label), "dimension": str(dim(label, args.N))} for label in labels]
     params = {"group": group.value, "N": args.N}
     return {"command": "dims", "params": params, "rows": rows}, EXIT_OK
 
@@ -214,16 +203,12 @@ def cmd_coeffs(args) -> tuple[dict, int]:
 
 def cmd_certify(args) -> tuple[dict, int]:
     group = Group.coerce(args.group)
-    if group is Group.ORTH:
-        if args.D is None:
-            raise CliUsageError("--group o requires --D (orthogonal rapid-decay constant)")
-        bounds = BoundParams(D=args.D, t0=args.t0)
-        rd_name, rd_value = "D", args.D
-    else:
-        if args.R is None:
-            raise CliUsageError("--group u requires --R (unitary rapid-decay constant)")
-        bounds = BoundParams(R=args.R, t0=args.t0)
-        rd_name, rd_value = "R", args.R
+    rd_name, kind = ("D", "orthogonal") if group is Group.ORTH else ("R", "unitary")
+    rd_value = getattr(args, rd_name)
+    if rd_value is None:
+        raise CliUsageError(
+            f"--group {group.value} requires --{rd_name} ({kind} rapid-decay constant)")
+    bounds = BoundParams(**{rd_name: rd_value}, t0=args.t0)
     cert = choose_truncation(args.t, args.eps, args.N, group, bounds)
     rows = [{"m": cert.m, "tail_bound": cert.tail_bound, "eps": cert.target_eps}]
     params = {
@@ -238,26 +223,15 @@ def cmd_certify(args) -> tuple[dict, int]:
 
 def cmd_verify(args) -> tuple[dict, int]:
     suite = args.suite
-    kwargs = {}
-    if suite == "fusion":
-        kwargs = {"max_label": args.max_label, "unit_max_len": min(args.max_len, 6)}
-    elif suite == "moments":
-        kwargs = {"max_m": 8, "subdivisions": args.subdivisions}
-    elif suite == "forms":
-        kwargs = {"max_len": args.max_len}
-    elif suite == "dims":
-        kwargs = {
-            "max_label": args.max_label,
-            "exhaustive_len": min(args.max_len, 6),
-            "random_pairs": args.samples,
-            "seed": args.seed,
-        }
-    elif suite == "decay":
-        kwargs = {
-            "ns": tuple(args.N) if args.N else (3, 4, 5, 6),
-            "grid_points": args.grid,
-            "max_len": args.max_len,
-        }
+    kwargs = {
+        "fusion": {"max_label": args.max_label, "unit_max_len": min(args.max_len, 6)},
+        "moments": {"max_m": 8, "subdivisions": args.subdivisions},
+        "forms": {"max_len": args.max_len},
+        "dims": {"max_label": args.max_label, "exhaustive_len": min(args.max_len, 6),
+                 "random_pairs": args.samples, "seed": args.seed},
+        "decay": {"ns": tuple(args.N) if args.N else (3, 4, 5, 6), "grid_points": args.grid,
+                  "max_len": args.max_len},
+    }[suite]
     checks = SUITES[suite](**kwargs)
     rows = [{"check": name, "cases": cases, "failures": failures} for name, cases, failures in checks]
     total_failures = sum(failures for _, _, failures in checks)

@@ -5,7 +5,10 @@ Irreducibles are indexed by words over the two-letter alphabet ``'a'``/``'b'``
 conjugation involution reverses a word and swaps the letters.  Tensor
 products decompose over suffix/prefix cancellations: for every way of writing
 ``g = alpha.sigma`` and ``h = involution(sigma).beta`` the product contains
-the summand ``alpha.beta`` once.
+the summand ``alpha.beta`` once.  Since ``involution(g[cut:])`` is the prefix
+of ``involution(g)`` of length ``len(g) - cut``, the cancellations are the
+first k letters of ``h`` for every k up to the common-prefix length of
+``involution(g)`` and ``h``.
 
 Every irreducible character factorizes inside the free product as an
 alternating word in powers of the circle generator z and orthogonal
@@ -25,9 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
+from os.path import commonprefix
 
 from ._util import as_int, as_nonneg_int
-from .chebyshev import dim_orth
+from .chebyshev import _dim_orth
 from .errors import FormExpansionError, WordParseError
 
 ALPHABET = "ab"
@@ -38,11 +42,9 @@ def word_parse(text: str) -> str:
     """Validate a word over 'a'/'b'; the empty string denotes the unit."""
     if not isinstance(text, str):
         raise WordParseError(f"expected a word string, got {text!r}")
-    bad = set(text) - set(ALPHABET)
-    if bad:
-        raise WordParseError(
-            f"invalid characters {sorted(bad)!r} in word {text!r}; alphabet is 'a','b'"
-        )
+    if text.strip(ALPHABET):
+        bad = sorted(set(text) - set(ALPHABET))
+        raise WordParseError(f"invalid characters {bad!r} in word {text!r}; alphabet is 'a','b'")
     return text
 
 
@@ -66,21 +68,33 @@ def all_words(max_len: int):
 def fuse_unitary(g: str, h: str) -> dict[str, int]:
     """Decompose the tensor product of the irreducibles at words g and h.
 
-    Enumerates suffixes sigma of g and keeps those whose involution is a
-    prefix of h; each valid cut contributes the summand alpha.beta once.
-    Distinct cuts give summands of distinct lengths |g|+|h|-2|sigma|, so the
-    result is multiplicity-free.  Terms are returned ordered by
-    (length, lexicographic).
+    With L the common-prefix length of involution(g) and h, the summands are
+    ``g[:len(g) - k] + h[k:]`` for k = L, L - 1, ..., 0, each once.  They
+    have the distinct lengths |g| + |h| - 2k, so the result is
+    multiplicity-free, and it comes ordered by (length, lexicographic).
     """
     g = word_parse(g)
     h = word_parse(h)
-    terms: dict[str, int] = {}
-    for cut in range(len(g) + 1):
-        sigma = g[cut:]
-        if h.startswith(involution(sigma)):
-            term = g[:cut] + h[len(sigma):]
-            terms[term] = terms.get(term, 0) + 1
-    return dict(sorted(terms.items(), key=lambda kv: (len(kv[0]), kv[0])))
+    conj = g[::-1].translate(_SWAP)  # involution(g), without parsing g again
+    cancel = len(commonprefix([conj, h]))
+    return {g[: len(g) - k] + h[k:]: 1 for k in range(cancel, -1, -1)}
+
+
+def fuse_unitary_many(words) -> dict[str, int]:
+    """Left-to-right decomposition of a tensor word of irreducibles.
+
+    Folds :func:`fuse_unitary` over the words, adding up multiplicities;
+    terms are ordered by (length, lexicographic).  The empty sequence gives
+    the unit {'': 1}.
+    """
+    acc = {"": 1}
+    for w in words:
+        nxt: dict[str, int] = {}
+        for term, mult in acc.items():
+            for summand in fuse_unitary(term, w):
+                nxt[summand] = nxt.get(summand, 0) + mult
+        acc = nxt
+    return dict(sorted(acc.items(), key=lambda kv: (len(kv[0]), kv[0])))
 
 
 @dataclass(frozen=True)
@@ -176,42 +190,30 @@ def _mul_z(combo: dict, p: int) -> dict:
 
 def _mul_chi1(combo: dict) -> dict:
     out: dict = {}
-
-    def add(mono, coef):
-        out[mono] = out.get(mono, 0) + coef
-
     for mono, coef in combo.items():
-        if not mono or mono[-1][0] == _Z:
-            add(mono + ((_C, 1),), coef)
-        else:
-            k = mono[-1][1]
+        if mono and mono[-1][0] == _C:
             # chi_k * chi_1 = chi_{k+1} + chi_{k-1}, with chi_0 = 1
-            add(mono[:-1] + ((_C, k + 1),), coef)
-            add(mono[:-1] if k == 1 else mono[:-1] + ((_C, k - 1),), coef)
+            head, k = mono[:-1], mono[-1][1]
+            products = (head + ((_C, k + 1),), head if k == 1 else head + ((_C, k - 1),))
+        else:
+            products = (mono + ((_C, 1),),)
+        for new in products:
+            out[new] = out.get(new, 0) + coef
     return out
 
 
 def _form_from_monomial(mono) -> AlternatingForm:
-    if not mono:
-        return AlternatingForm((0,), ())
-    eps = []
+    # an optional leading circle power, then chi and z symbols in turn
+    lead = 1 if mono and mono[0][0] == _Z else 0
+    eps = [mono[0][1] if lead else 0]
     blocks = []
-    start = 0
-    if mono[0][0] == _Z:
-        eps.append(mono[0][1])
-        start = 1
-    else:
-        eps.append(0)
-    expect = _C
-    for kind, value in mono[start:]:
-        if kind != expect:
+    for i, (kind, value) in enumerate(mono[lead:]):
+        if kind != (_C if i % 2 == 0 else _Z):
             raise FormExpansionError(f"monomial {mono!r} is not alternating")
         if kind == _C:
             blocks.append(value)
-            expect = _Z
         else:
             eps.append(value)
-            expect = _C
     if len(eps) == len(blocks):  # no trailing circle power
         eps.append(0)
     try:
@@ -239,7 +241,7 @@ def char_expand_oracle(w: str) -> AlternatingForm:
             combo = _mul_chi1(_mul_z(combo, +1))
         else:
             combo = _mul_z(_mul_chi1(combo), -1)
-        if i >= 1 and w[i - 1] == involution(letter):
+        if i >= 1 and w[i - 1] != letter:  # w ends with the conjugate letter
             prev = forms[i - 1]
             combo[prev] = combo.get(prev, 0) - 1
         combo = {m: c for m, c in combo.items() if c != 0}
@@ -255,7 +257,7 @@ def char_expand_oracle(w: str) -> AlternatingForm:
 def _dim_unitary(w: str, N: int) -> int:
     result = 1
     for k in alternating_form(w).blocks:
-        result *= dim_orth(k, N)
+        result *= _dim_orth(k, N)
     return result
 
 
@@ -278,13 +280,14 @@ def dim_unitary_recursive(w: str, N) -> int:
     N = as_int(N, "N", 2)
     dims = [1]
     for i, letter in enumerate(w):
-        correction = dims[i - 1] if i >= 1 and w[i - 1] == involution(letter) else 0
+        correction = dims[i - 1] if i >= 1 and w[i - 1] != letter else 0
         dims.append(N * dims[i] - correction)
     return dims[-1]
 
 
 def dim_check_fusion_unitary(g: str, h: str, N) -> bool:
     """Exact check that dimensions are additive over the fusion decomposition."""
-    lhs = dim_unitary(g, N) * dim_unitary(h, N)
-    rhs = sum(mult * dim_unitary(term, N) for term, mult in fuse_unitary(g, h).items())
-    return lhs == rhs
+    terms = fuse_unitary(g, h)  # checks g and h
+    N = as_int(N, "N", 2)
+    rhs = sum(mult * _dim_unitary(term, N) for term, mult in terms.items())
+    return _dim_unitary(g, N) * _dim_unitary(h, N) == rhs

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -41,7 +42,7 @@ from .chebyshev import (
     dim_orth,
 )
 from .errors import DomainError, ResourceCapError
-from .free_unitary import AlternatingForm, all_words, alternating_form, dim_unitary, word_parse
+from .free_unitary import ALPHABET, AlternatingForm, all_words, alternating_form, dim_unitary
 
 #: Default cap on the number of entries of a unitary coefficient table; the
 #: label set doubles per level, so tables are refused rather than silently
@@ -80,10 +81,6 @@ class Group(enum.Enum):
         return 0 if self is Group.ORTH else ""
 
 
-def _level(label) -> int:
-    return len(label) if isinstance(label, str) else as_nonneg_int(label, "label")
-
-
 @dataclass(frozen=True)
 class MultiplierCoeffs:
     """Finite coefficient table of a central multiplier net.
@@ -94,7 +91,9 @@ class MultiplierCoeffs:
     (a truncation, zero beyond the stored levels) from a stored window of the
     full net, whose unstored levels are dominated by the geometric envelope
     ``decay_constant(t0) * (t/N)**level``.  ``t``, ``N`` and ``t0`` are
-    checked as :func:`~freeqg.chebyshev.coeff_ratio` checks them.
+    checked as :func:`~freeqg.chebyshev.coeff_ratio` checks them, and the
+    labels must be non-negative integers or words over 'a'/'b'.  ``r`` is
+    derived: r(t) for a unitary table, None for an orthogonal one.
     """
 
     group: Group
@@ -102,8 +101,8 @@ class MultiplierCoeffs:
     t: float
     N: int
     t0: float = DEFAULT_T0
-    r: float | None = None
     truncated: bool = True
+    r: float | None = field(init=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "group", Group.coerce(self.group))
@@ -111,22 +110,34 @@ class MultiplierCoeffs:
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "t0", float(self.t0))
-        if self.group is Group.UNIT and self.r is None:
+        if self.group is Group.ORTH:
+            entries = {as_nonneg_int(label, "label"): v for label, v in self.entries.items()}
+        else:
+            entries = dict(self.entries)
             object.__setattr__(self, "r", _net(t, N)[0])
-        for label, value in self.entries.items():
+            # one regex over the joined labels; the bad label is looked up only to name it
+            try:
+                words = re.fullmatch(f"[{ALPHABET}]*", "".join(entries))
+            except TypeError:
+                words = None
+            if words is None:
+                bad = next(w for w in entries if not isinstance(w, str) or w.strip(ALPHABET))
+                raise DomainError(f"unitary labels must be words over 'a'/'b', got {bad!r}")
+        for label, value in entries.items():
             if not 0.0 < value <= 1.0 + BOUND_SLACK:
                 raise DomainError(f"coefficient at {label!r} is {value}, outside (0, 1]")
-        trivial = self.entries.get(self.group.trivial_label)
+        trivial = entries.get(self.group.trivial_label)
         if trivial is not None and trivial != 1.0:
             raise DomainError(f"trivial-label coefficient must be exactly 1, got {trivial}")
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        object.__setattr__(self, "entries", MappingProxyType(entries))
 
     def level_maxima(self) -> dict[int, float]:
-        """Largest stored |coefficient| per level."""
+        """Largest stored coefficient per level (every coefficient is positive)."""
+        levels = map(len, self.entries) if self.group is Group.UNIT else self.entries
         out: dict[int, float] = {}
-        for label, value in self.entries.items():
-            n = _level(label)
-            out[n] = max(out.get(n, 0.0), abs(value))
+        for n, value in zip(levels, self.entries.values()):
+            if value > out.get(n, 0.0):
+                out[n] = value
         return out
 
     @property
@@ -169,7 +180,7 @@ def a_coeff(w: str, t, N, t0=DEFAULT_T0) -> float:
     under the word involution, and increases strictly in t with value 1 at
     t = N.
     """
-    return a_coeff_from_form(alternating_form(word_parse(w)), t, N, t0)
+    return a_coeff_from_form(alternating_form(w), t, N, t0)
 
 
 def tail_sup(coef, ratio, from_level) -> float:
@@ -432,17 +443,18 @@ def truncated_coeffs(group, t, m, N, t0=DEFAULT_T0, entry_cap=DEFAULT_ENTRY_CAP)
     """
     group = Group.coerce(group)
     m = as_nonneg_int(m, "m")
+    entry_cap = as_nonneg_int(entry_cap, "entry_cap")
     if group is Group.ORTH:
         entries = dict(enumerate(coeff_ratios(m, t, N, t0)))
         return MultiplierCoeffs(group, entries, t=t, N=N, t0=t0)
-    count = 2 ** (m + 1) - 1
-    if count > entry_cap:
+    # 2**(m + 1) - 1 > entry_cap, without building a number of m bits
+    if m + 1 >= (entry_cap + 1).bit_length():
         raise ResourceCapError(
-            f"unitary table to level {m} needs {count} entries, above the cap {entry_cap}"
+            f"unitary table to level {m} needs 2**{m + 1} - 1 entries, above the cap {entry_cap}"
         )
     r = r_of(t, N, t0)
     ratios = coeff_ratios(m, t, N, t0)
-    return MultiplierCoeffs(group, _unitary_entries(m, r, ratios), t=t, N=N, t0=t0, r=r)
+    return MultiplierCoeffs(group, _unitary_entries(m, r, ratios), t=t, N=N, t0=t0)
 
 
 def _unitary_entries(m: int, r: float, ratios: list) -> dict:

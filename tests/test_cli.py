@@ -111,6 +111,21 @@ class TestCoeffs:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("group", ["o", "u"])
+    def test_negative_entry_cap_is_domain_error(self, capsys, group):
+        # the unitary table exited 4 ("above the cap -1"); the orthogonal one ignored it
+        code = cli.main(["coeffs", "--group", group, "--t", "2.5", "--N", "3", "--m", "3",
+                         "--entry-cap", "-1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "entry_cap must be >= 0" in captured.err
+
+    def test_huge_level_is_refused_before_any_work(self, capsys):
+        code, out = run(capsys, "coeffs", "--group", "u", "--t", "2.5", "--N", "3",
+                        "--m", str(10**18))
+        assert (code, out) == (4, "")
+
 
     # sha256 of stdout, recorded before the unitary table moved to the word
     # trie and the JSON writer gained its fast paths
@@ -174,6 +189,18 @@ class TestCertify:
         code, _ = run(capsys, "certify", "--group", "o", "--t", "2.5", "--N", "3",
                       "--eps", "1e-3")
         assert code == 2
+
+    @pytest.mark.parametrize("group,message", [
+        ("o", "freeqg: --group o requires --D (orthogonal rapid-decay constant)\n"),
+        ("u", "freeqg: --group u requires --R (unitary rapid-decay constant)\n"),
+    ], ids=["o", "u"])
+    def test_missing_rd_constant_message(self, capsys, group, message):
+        # each group ignores the other group's constant
+        other = "--R" if group == "o" else "--D"
+        code = cli.main(["certify", "--group", group, "--t", "2.5", "--N", "3", "--eps", "1e-3",
+                         other, "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", message)
 
     def test_t_at_n_is_domain_error(self, capsys):
         code, _ = run(capsys, "certify", "--group", "o", "--t", "3", "--N", "3",

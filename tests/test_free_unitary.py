@@ -13,6 +13,7 @@ from freeqg import (
     dim_unitary,
     dim_unitary_recursive,
     fuse_unitary,
+    fuse_unitary_many,
     involution,
     word_parse,
     words_of_length,
@@ -33,6 +34,18 @@ def reference_fuse_unitary(g, h):
             term = g[:cut] + h[len(sigma):]
             terms[term] = terms.get(term, 0) + 1
     return dict(sorted(terms.items(), key=lambda kv: (len(kv[0]), kv[0])))
+
+
+def reference_fuse_unitary_many(operands):
+    # the iterated fusion the fuse command ran inline before fuse_unitary_many
+    decomposition = {operands[0]: 1}
+    for nxt in operands[1:]:
+        acc = {}
+        for term, mult in decomposition.items():
+            for new_term, m2 in reference_fuse_unitary(term, nxt).items():
+                acc[new_term] = acc.get(new_term, 0) + mult * m2
+        decomposition = dict(sorted(acc.items(), key=lambda kv: (len(kv[0]), kv[0])))
+    return decomposition
 
 
 class TestWordParse:
@@ -105,6 +118,25 @@ class TestFuseUnitary:
             fuse_unitary(bad, "ab")
         with pytest.raises(WordParseError):
             fuse_unitary("ab", bad)
+
+
+class TestFuseUnitaryMany:
+    @settings(max_examples=300)
+    @given(st.lists(words, min_size=1, max_size=4))
+    def test_matches_reference_fold(self, operands):
+        expected = reference_fuse_unitary_many(operands)
+        assert list(fuse_unitary_many(operands).items()) == list(expected.items())
+
+    def test_examples(self):
+        assert fuse_unitary_many([]) == {"": 1}
+        assert fuse_unitary_many(["ab"]) == {"ab": 1}
+        assert fuse_unitary_many(iter(["a", "b", "a", "b"])) == {"": 2, "ab": 3, "abab": 1}
+
+    @pytest.mark.parametrize("bad", ["c", "aAb", 3])
+    def test_bad_letter_is_parse_error(self, bad):
+        for operands in ([bad], ["a", bad], [bad, "b", "a"]):
+            with pytest.raises(WordParseError):
+                fuse_unitary_many(operands)
 
 
 class TestAlternatingForm:

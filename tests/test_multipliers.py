@@ -512,6 +512,56 @@ class TestTruncatedCoeffs:
         with pytest.raises(DomainError):
             MultiplierCoeffs("o", {1: -0.2}, t=2.5, N=3)
 
+    @pytest.mark.parametrize("k", [1, 2, 5, 8])
+    def test_entry_cap_boundary(self, k):
+        # level k - 1 needs 2**k - 1 entries: one short of the cap is refused
+        m = k - 1
+        with pytest.raises(ResourceCapError):
+            truncated_coeffs("u", 2.5, m, 3, entry_cap=2**k - 2)
+        for cap in (2**k - 1, 2**k):
+            assert len(truncated_coeffs("u", 2.5, m, 3, entry_cap=cap).entries) == 2**k - 1
+
+    def test_entry_cap_huge_level_is_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError, match=r"2\*\*1000000000000000001 - 1 entries"):
+            truncated_coeffs("u", 2.5, 10**18, 3)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("group", ["o", "u"])
+    @pytest.mark.parametrize("cap", [-1, 2.5, "x", None])
+    def test_entry_cap_domain(self, group, cap):
+        with pytest.raises(DomainError, match="entry_cap"):
+            truncated_coeffs(group, 2.5, 3, 3, entry_cap=cap)
+
+    def test_r_is_derived(self):
+        assert truncated_coeffs("u", 2.7, 2, 4).r == r_of(2.7, 4)
+        assert MultiplierCoeffs("u", {"": 1.0}, t=2.5, N=3).r == r_of(2.5, 3)
+        assert MultiplierCoeffs("o", {0: 1.0}, t=2.5, N=3).r is None
+        for r in (7.0, float("nan"), r_of(2.5, 3)):
+            with pytest.raises(TypeError):
+                MultiplierCoeffs("u", {"": 1.0}, t=2.5, N=3, r=r)
+
+    @pytest.mark.parametrize("group,entries", [
+        ("o", {"x": 0.5}),
+        ("o", {"": 1.0}),
+        ("o", {-1: 0.5}),
+        ("o", {0.5: 0.5}),
+        ("u", {1: 0.5}),
+        ("u", {"": 1.0, "ac": 0.5}),
+        ("u", {"a": 0.5, None: 0.5}),
+    ])
+    def test_labels_of_the_wrong_kind(self, group, entries):
+        with pytest.raises(DomainError):
+            MultiplierCoeffs(group, entries, t=2.5, N=3)
+
+    def test_numpy_labels(self):
+        table = MultiplierCoeffs("o", {np.int64(0): 1.0, np.int64(2): 0.5}, t=2.5, N=3)
+        assert list(table.entries) == [0, 2]
+        assert all(type(label) is int for label in table.entries)
+        assert table.level_maxima() == {0: 1.0, 2: 0.5}
+        table = MultiplierCoeffs("u", {np.str_("ab"): 0.5, np.str_("ba"): 0.25}, t=2.5, N=3)
+        assert table.level_maxima() == {2: 0.5}
+
 
 class TestApproxIdentityWeights:
     def test_orth_level_one(self):
