@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shlex
 import subprocess
 import sys
 
@@ -420,6 +421,78 @@ class TestFormatsAndErrors:
         assert first == second
         record = json.loads(first)
         assert list(record) == sorted(record)
+
+
+# One request per command and group, with and without the dimension column.
+RECORD_ARGVS = [
+    "fuse --group o --N 3 2 3",
+    "fuse --group u a b a",
+    "fuse --group u --N 4 ab ba",
+    "dims --group o --N 5 80 3",
+    "dims --group u --N 3 ab ''",
+    "coeffs --group o --t 2.7 --N 4 --m 5",
+    "coeffs --group u --t 2.7 --N 4 --m 3",
+    "certify --group o --t 2.9 --N 3 --eps 1e-6 --D 2",
+    "certify --group u --t 3.5 --N 4 --eps 1e-4 --R 1.5",
+    "verify forms --max-len 6",
+    "verify moments --subdivisions 200",
+]
+
+
+class TestRecordSchema:
+    """Both writers take a record's columns from its first row."""
+
+    # sha256 of stdout, recorded before the JSON and CSV writers shared one
+    # key list per record
+    @pytest.mark.parametrize("argv,fmt,digest", [
+        ("fuse --group o --N 3 2 3", "jsonl",
+         "f1b36737f19f16abb04e8065495721bed386d568468bc663dfc374358fe3d932"),
+        ("fuse --group o --N 3 2 3", "csv",
+         "4fadbbeba27d8e2e15d4979ba84910f41705538434376126850c1ef231f31afc"),
+        ("fuse --group u a b a", "jsonl",
+         "002b50541272937039d54bcade259f499c17fd58a2c393a45acd07ed319ff1f0"),
+        ("fuse --group u a b a", "csv",
+         "0a737b1007bf585930e1d04944fa78729ea710b0300175b93262140d067c5558"),
+        ("dims --group o --N 5 80 3", "jsonl",
+         "5611785a539b83ebd2dd3f6474ccb9700b5340ddb9e0bf6c5806fabf6c18a0d2"),
+        ("dims --group o --N 5 80 3", "csv",
+         "b84f94807e9e53a07cca408c440b214fe11455d4fc3dfa9a757e94783a1b7738"),
+        ("dims --group u --N 3 ab ''", "jsonl",
+         "bd7982e76b8c06589d34a33167db032f14d477f5c580de0ed61a3e6dfc6dc482"),
+        ("dims --group u --N 3 ab ''", "csv",
+         "d6f45d74a142b95bbefb7bcc7f65d1fce3299512184b0fd13e9f6d33a2585ed2"),
+        ("certify --group o --t 2.9 --N 3 --eps 1e-6 --D 2", "jsonl",
+         "01903ce6fa4a145a33dabfec9c95996261f325f29bcbb44f3a26ce3c9bd73f47"),
+        ("certify --group o --t 2.9 --N 3 --eps 1e-6 --D 2", "csv",
+         "ba2094c1b3e58990091d1f7606262af2f093baad08db5e12412c72072bba8914"),
+        ("certify --group u --t 3.5 --N 4 --eps 1e-4 --R 1.5", "jsonl",
+         "9aeaf86884bc34e3dda533dfd457e76206b7d1180d0f97340615abbe99be8f67"),
+        ("certify --group u --t 3.5 --N 4 --eps 1e-4 --R 1.5", "csv",
+         "72a6d91a933385c6ff0806ead61ff7a6ea60c14c23c40f416c9aac7c7255781e"),
+        ("verify forms --max-len 6", "jsonl",
+         "1c89b2162eca599cb1892aafc9b32a103225ce6b3705ac10274fcbb8f593d441"),
+        ("verify forms --max-len 6", "csv",
+         "915ac67d35674ae5104560d5244eda7d272ffe7289086ff22e42fc01b850e7b0"),
+    ])
+    def test_stdout_bytes_pinned(self, capsys, argv, fmt, digest):
+        code, out = run(capsys, *shlex.split(argv), "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv", RECORD_ARGVS)
+    def test_rows_share_one_key_set(self, capsys, argv):
+        code, record = run_json(capsys, *shlex.split(argv))
+        assert code == 0
+        assert record["rows"]
+        assert {tuple(sorted(row)) for row in record["rows"]} == {tuple(sorted(record["rows"][0]))}
+
+    @pytest.mark.parametrize("argv", RECORD_ARGVS)
+    def test_csv_header_is_the_sorted_json_keys(self, capsys, argv):
+        _, record = run_json(capsys, *shlex.split(argv))
+        _, out = run(capsys, *shlex.split(argv), "--format", "csv")
+        lines = out.splitlines()
+        assert lines[0].split(",") == sorted(record["rows"][0])
+        assert len(lines) == 1 + len(record["rows"])
 
 
 NUMPY_PROBE = """
