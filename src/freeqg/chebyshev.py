@@ -79,12 +79,7 @@ def q_of(t) -> float:
 
 @lru_cache(maxsize=1024)
 def _dim_orth(n: int, N: int) -> int:
-    prev, cur = 1, N
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
-        prev, cur = cur, N * cur - prev
-    return cur
+    return cheby_u(n, N)
 
 
 def dim_orth(n, N) -> int:

@@ -49,10 +49,9 @@ def _json_token(value) -> str:
     The fast paths give the same bytes as the general code.  Floats, strings
     and ints are dispatched on their exact type before the ``isinstance``
     chain (``bool`` is not ``int`` there, so it still prints true/false).
-    A list of dicts that share one key set of strings, such as a record's
-    rows, sorts its keys and builds the ``"key":`` prefixes once and emits
-    each row with one join.  :func:`_json_string` skips its escape loop when
-    a regex finds no quote, backslash or control character.
+    :func:`_json_string` skips its escape loop when a regex finds no quote,
+    backslash or control character.  A record's rows go through
+    :func:`_json_rows` instead.
     """
     kind = type(value)
     if kind is float:
@@ -72,8 +71,6 @@ def _json_token(value) -> str:
     if isinstance(value, str):
         return _json_string(value)
     if isinstance(value, (list, tuple)):
-        if _is_rows(value):
-            return _json_rows(value)
         return "[" + ",".join(_json_token(v) for v in value) + "]"
     if isinstance(value, dict):
         items = sorted(value.items(), key=lambda kv: str(kv[0]))
@@ -81,17 +78,8 @@ def _json_token(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _is_rows(values) -> bool:
-    if not values or type(values[0]) is not dict:
-        return False
-    keys = values[0].keys()
-    return all(type(k) is str for k in keys) and all(
-        type(row) is dict and row.keys() == keys for row in values
-    )
-
-
-def _json_rows(rows) -> str:
-    keys = sorted(rows[0])
+def _json_rows(rows, keys) -> str:
+    # the "key": prefixes are built once, and each row is one join
     prefixes = [(key, _json_string(key) + ":") for key in keys]
     token = _json_token
     return "[" + ",".join(
@@ -122,25 +110,27 @@ def _json_string(s: str) -> str:
 
 
 def _csv_cell(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, float):
         return format(value, ".15g")
     return str(value)
 
 
 def _emit(record: dict, fmt: str, stream) -> None:
+    # every handler builds its rows over one key set, and at least one row
+    rows = record["rows"]
+    keys = sorted(rows[0])
     if fmt == "csv":
-        rows = record["rows"]
-        keys = sorted({key for row in rows for key in row})
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(keys)
         for row in rows:
-            writer.writerow([_csv_cell(row.get(key)) for key in keys])
+            writer.writerow([_csv_cell(row[key]) for key in keys])
         stream.write(buf.getvalue())
     else:
-        stream.write(_json_token(record) + "\n")
+        # the record's keys in sorted order
+        stream.write('{"command":' + _json_token(record["command"])
+                     + ',"params":' + _json_token(record["params"])
+                     + ',"rows":' + _json_rows(rows, keys) + "}\n")
 
 
 # ---------------------------------------------------------------------------

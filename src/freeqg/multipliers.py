@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 import math
-import re
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -115,12 +114,12 @@ class MultiplierCoeffs:
         else:
             entries = dict(self.entries)
             object.__setattr__(self, "r", _net(t, N)[0])
-            # one regex over the joined labels; the bad label is looked up only to name it
+            # word_parse's rule over the joined labels; the bad label is looked up only to name it
             try:
-                words = re.fullmatch(f"[{ALPHABET}]*", "".join(entries))
-            except TypeError:
-                words = None
-            if words is None:
+                stray = "".join(entries).strip(ALPHABET)
+            except TypeError:  # a label that is not a str
+                stray = True
+            if stray:
                 bad = next(w for w in entries if not isinstance(w, str) or w.strip(ALPHABET))
                 raise DomainError(f"unitary labels must be words over 'a'/'b', got {bad!r}")
         for label, value in entries.items():
@@ -308,15 +307,15 @@ class TruncationCertificate:
         return self.tail_bound <= self.target_eps
 
 
-def _check_tail_args(t, N, bounds: BoundParams) -> tuple[float, int]:
-    t, N = _check_ratio_args(t, N, bounds.t0)
+def _check_tail_args(t, N, t0) -> tuple[float, int]:
+    t, N = _check_ratio_args(t, N, t0)
     if t == N:
-        raise DomainError(f"t must lie in [{bounds.t0}, {N}) for a finite tail bound, got {t}")
+        raise DomainError(f"t must lie in [{float(t0)}, {N}) for a finite tail bound, got {t}")
     return t, N
 
 
 def _tail_bound(group: Group, t, m, N, bounds: BoundParams) -> float:
-    t, N = _check_tail_args(t, N, bounds)
+    t, N = _check_tail_args(t, N, bounds.t0)
     m = as_nonneg_int(m, "m")
     return _checked_tail_bound(decay_constant(bounds.t0), t / N, m, bounds.require(group))
 
@@ -398,7 +397,7 @@ def choose_truncation(t, eps, N, group, bounds: BoundParams) -> TruncationCertif
     if not 0.0 < eps < math.inf:
         raise DomainError(f"eps must be finite and > 0, got {eps}")
     group = Group.coerce(group)
-    t, N = _check_tail_args(t, N, bounds)
+    t, N = _check_tail_args(t, N, bounds.t0)
     coef, ratio, constant = decay_constant(bounds.t0), t / N, bounds.require(group)
     bound = _checked_tail_bound(coef, ratio, 0, constant)
     if bound <= eps:
@@ -501,9 +500,7 @@ def approx_identity_weights(group, t, m, N, t0=DEFAULT_T0, entry_cap=DEFAULT_ENT
     """
     group = Group.coerce(group)
     m = as_nonneg_int(m, "m")
-    t, N = _check_ratio_args(t, N, t0)
-    if t == N:
-        raise DomainError(f"t must lie in [{float(t0)}, {N}), got {t}")
+    t, N = _check_tail_args(t, N, t0)
     if group is Group.ORTH:
         return [
             (n, ratio * _float_dim(dim_orth(n, N), n))

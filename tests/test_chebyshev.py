@@ -114,6 +114,13 @@ class TestDimOrth:
         with pytest.raises(DomainError):
             dim_orth(3, 1)
 
+    @pytest.mark.parametrize("N", [2, 3, 8])
+    def test_is_the_integer_recursion(self, N):
+        for n in range(301):
+            value = dim_orth(n, N)
+            assert type(value) is int
+            assert value == cheby_u(n, N)
+
 
 class TestCoeffRatio:
     def test_examples(self):

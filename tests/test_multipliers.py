@@ -554,6 +554,16 @@ class TestTruncatedCoeffs:
         with pytest.raises(DomainError):
             MultiplierCoeffs(group, entries, t=2.5, N=3)
 
+    @pytest.mark.parametrize("entries,bad", [
+        ({"ab" * 50 + "c" + "ab": 0.5}, "ab" * 50 + "c" + "ab"),
+        ({"a": 0.5, "bä": 0.5}, "bä"),
+        ({**{w: 0.5 for w in list(all_words(9))[1:1001]}, 7: 0.5}, 7),
+    ], ids=["bad-letter-in-long-label", "non-ascii-letter", "non-str-among-1000-words"])
+    def test_bad_unitary_label_is_named(self, entries, bad):
+        with pytest.raises(DomainError) as info:
+            MultiplierCoeffs("u", entries, t=2.5, N=3)
+        assert f"got {bad!r}" in str(info.value)
+
     def test_numpy_labels(self):
         table = MultiplierCoeffs("o", {np.int64(0): 1.0, np.int64(2): 0.5}, t=2.5, N=3)
         assert list(table.entries) == [0, 2]
@@ -600,6 +610,25 @@ class TestApproxIdentityWeights:
     def test_rejects_endpoint(self):
         with pytest.raises(DomainError):
             approx_identity_weights("o", 3.0, 1, 3)
+
+    def test_endpoint_has_the_tail_bound_message(self):
+        # t = N is refused by one check, with one message, wherever a net
+        # needs t < N
+        bounds = BoundParams(D=1.0, R=1.0, t0=2.6)
+        calls = [
+            lambda: approx_identity_weights("o", 4.0, 1, 4, t0=2.6),
+            lambda: approx_identity_weights("u", 4.0, 1, 4, t0=2.6),
+            lambda: choose_truncation(4.0, 1e-3, 4, "o", bounds),
+            lambda: choose_truncation(4.0, 1e-3, 4, "u", bounds),
+            lambda: tail_bound_orth(4.0, 3, 4, bounds),
+            lambda: tail_bound_unitary(4.0, 3, 4, bounds),
+        ]
+        messages = set()
+        for call in calls:
+            with pytest.raises(DomainError) as info:
+                call()
+            messages.add(str(info.value))
+        assert messages == {"t must lie in [2.6, 4) for a finite tail bound, got 4.0"}
 
     def test_dimension_overflow_is_domain_error(self):
         with pytest.raises(DomainError, match="738"):
