@@ -45,11 +45,8 @@ def cheby_u(n, x):
     ``x`` gives float arithmetic, and float ndarrays evaluate pointwise.
     """
     n = as_nonneg_int(n, "n")
-    one = x * 0 + 1  # multiplicative unit in the arithmetic of x
-    if n == 0:
-        return one
-    prev, cur = one, x
-    for _ in range(n - 1):
+    prev, cur = 0, x * 0 + 1  # u_{-1} = 0 and u_0 = 1, in the arithmetic of x
+    for _ in range(n):
         prev, cur = cur, x * cur - prev
     return cur
 
@@ -60,10 +57,8 @@ def cheby_coeffs(n) -> list[int]:
     u_n is monic of degree n.
     """
     n = as_nonneg_int(n, "n")
-    prev, cur = [1], [0, 1]
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
+    prev, cur = [], [1]  # u_{-1} = 0 and u_0 = 1
+    for _ in range(n):
         shifted = [0] + cur  # multiply by x
         prev, cur = cur, [a - b for a, b in zip_longest(shifted, prev, fillvalue=0)]
     return cur
@@ -79,7 +74,7 @@ def q_of(t) -> float:
 
 @lru_cache(maxsize=1024)
 def _dim_orth(n: int, N: int) -> int:
-    return cheby_u(n, N)
+    return n + 1 if N == 2 else cheby_u(n, N)  # u_n(2) = n + 1, without n steps
 
 
 def dim_orth(n, N) -> int:

@@ -13,12 +13,14 @@ import argparse
 import csv
 import functools
 import io
+import math
 import re
 import sys
 
+from ._util import as_int, as_nonneg_int
 from .chebyshev import DEFAULT_T0, decay_constant, dim_orth
 from .errors import DomainError, ResourceCapError, WordParseError
-from .free_unitary import dim_unitary, fuse_unitary_many, word_parse
+from .free_unitary import alternating_form, dim_unitary, fuse_unitary_many, word_parse
 from .fusion_orth import fuse_orth_many
 from .multipliers import (
     DEFAULT_ENTRY_CAP,
@@ -49,9 +51,8 @@ def _json_token(value) -> str:
     The fast paths give the same bytes as the general code.  Floats, strings
     and ints are dispatched on their exact type before the ``isinstance``
     chain (``bool`` is not ``int`` there, so it still prints true/false).
-    :func:`_json_string` skips its escape loop when a regex finds no quote,
-    backslash or control character.  A record's rows go through
-    :func:`_json_rows` instead.
+    :func:`_json_string` skips the substitution when a regex finds no quote,
+    backslash or control character.
     """
     kind = type(value)
     if kind is float:
@@ -88,25 +89,15 @@ def _json_rows(rows, keys) -> str:
     ) + "]"
 
 
-#: Characters that _json_string must escape.
-_NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f]')
+#: The JSON escape of each character that needs one, and a regex that finds them.
+_ESCAPES = {chr(i): f"\\u{i:04x}" for i in range(0x20)} | {'"': '\\"', "\\": "\\\\"}
+_NEEDS_ESCAPE = re.compile("[" + re.escape("".join(_ESCAPES)) + "]")
 
 
 def _json_string(s: str) -> str:
-    if not _NEEDS_ESCAPE.search(s):
-        return '"' + s + '"'
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    if _NEEDS_ESCAPE.search(s):
+        s = _NEEDS_ESCAPE.sub(lambda match: _ESCAPES[match[0]], s)
+    return '"' + s + '"'
 
 
 def _csv_cell(value) -> str:
@@ -123,8 +114,7 @@ def _emit(record: dict, fmt: str, stream) -> None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(keys)
-        for row in rows:
-            writer.writerow([_csv_cell(row[key]) for key in keys])
+        writer.writerows([_csv_cell(row[key]) for key in keys] for row in rows)
         stream.write(buf.getvalue())
     else:
         # the record's keys in sorted order
@@ -145,17 +135,55 @@ def _parse_label(token: str, group: Group):
     return word_parse(token)
 
 
+def _decimal_dims(group: Group, labels, N) -> list[str]:
+    """The dimensions of the labels at N, as decimal strings.
+
+    ``str`` refuses an int of more than ``sys.get_int_max_str_digits()``
+    digits (0 sets no limit), so every label is sized before any dimension
+    is computed, and one past the limit raises ResourceCapError.  A
+    dimension is at most N**length; only a label that may pass the limit
+    is sized from its blocks.
+    """
+    orth = group is Group.ORTH
+    limit = sys.get_int_max_str_digits() or math.inf
+    N = as_int(N, "N", 2)
+    for label in labels:
+        length = as_nonneg_int(label, "n") if orth else len(label)
+        if length < limit / math.log10(N):
+            continue
+        blocks = (length,) if orth else alternating_form(label).blocks
+        if _log10_dim(blocks, N) >= limit:
+            raise ResourceCapError(f"the dimension at label {label!r} for N={N} "
+                                   f"has more than {limit} decimal digits")
+    dim = dim_orth if orth else dim_unitary
+    return [str(dim(label, N)) for label in labels]
+
+
+def _log10_dim(blocks, N: int) -> float:
+    """log10 of the product of u_k(N) over the blocks k, without the recursion.
+
+    u_k(2) = k + 1, and u_k(N) = q**k * (1 + q**-2 + ... + q**-2k) with
+    q = q(N) for N >= 3.  A level past the range of a double gives inf.
+    """
+    if N == 2:
+        return sum(math.log10(k + 1) for k in blocks)
+    log_q = math.log10(N) + math.log10((1 + math.sqrt(1 - 4 / (N * N))) / 2)
+    r = 10 ** (-2 * log_q)
+    try:
+        return sum(k * log_q + math.log10((1 - r ** (k + 1)) / (1 - r)) for k in blocks)
+    except OverflowError:
+        return math.inf
+
+
 def cmd_fuse(args) -> tuple[dict, int]:
     group = Group.coerce(args.group)
     labels = [_parse_label(tok, group) for tok in args.operands]
-    orth = group is Group.ORTH
-    fuse_many, dim = (fuse_orth_many, dim_orth) if orth else (fuse_unitary_many, dim_unitary)
-    rows = []
-    for label, mult in fuse_many(labels).items():
-        row = {"label": str(label), "multiplicity": str(mult)}
-        if args.N is not None:
-            row["dimension"] = str(dim(label, args.N))
-        rows.append(row)
+    fuse_many = fuse_orth_many if group is Group.ORTH else fuse_unitary_many
+    terms = fuse_many(labels)
+    rows = [{"label": str(label), "multiplicity": str(mult)} for label, mult in terms.items()]
+    if args.N is not None:
+        for row, dim in zip(rows, _decimal_dims(group, terms, args.N)):
+            row["dimension"] = dim
     params = {"group": group.value, "operands": [str(l) for l in labels], "N": args.N}
     return {"command": "fuse", "params": params, "rows": rows}, EXIT_OK
 
@@ -163,8 +191,8 @@ def cmd_fuse(args) -> tuple[dict, int]:
 def cmd_dims(args) -> tuple[dict, int]:
     group = Group.coerce(args.group)
     labels = [_parse_label(tok, group) for tok in args.labels]
-    dim = dim_orth if group is Group.ORTH else dim_unitary
-    rows = [{"label": str(label), "dimension": str(dim(label, args.N))} for label in labels]
+    dims = _decimal_dims(group, labels, args.N)
+    rows = [{"label": str(label), "dimension": dim} for label, dim in zip(labels, dims)]
     params = {"group": group.value, "N": args.N}
     return {"command": "dims", "params": params, "rows": rows}, EXIT_OK
 
@@ -215,7 +243,7 @@ def cmd_verify(args) -> tuple[dict, int]:
     suite = args.suite
     kwargs = {
         "fusion": {"max_label": args.max_label, "unit_max_len": min(args.max_len, 6)},
-        "moments": {"max_m": 8, "subdivisions": args.subdivisions},
+        "moments": {"subdivisions": args.subdivisions},
         "forms": {"max_len": args.max_len},
         "dims": {"max_label": args.max_label, "exhaustive_len": min(args.max_len, 6),
                  "random_pairs": args.samples, "seed": args.seed},
@@ -224,9 +252,8 @@ def cmd_verify(args) -> tuple[dict, int]:
     }[suite]
     checks = SUITES[suite](**kwargs)
     rows = [{"check": name, "cases": cases, "failures": failures} for name, cases, failures in checks]
-    total_failures = sum(failures for _, _, failures in checks)
     params = {"suite": suite, "seed": args.seed}
-    code = EXIT_OK if total_failures == 0 else EXIT_VERIFY
+    code = EXIT_VERIFY if any(failures for _, _, failures in checks) else EXIT_OK
     return {"command": "verify", "params": params, "rows": rows}, code
 
 
@@ -245,6 +272,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("jsonl", "csv"), default="jsonl",
                         help="output format (default: jsonl)")
+    grouped = argparse.ArgumentParser(add_help=False, parents=[common])
+    grouped.add_argument("--group", choices=("o", "u"), required=True)
+    net = argparse.ArgumentParser(add_help=False, parents=[grouped])  # the net at t and N
+    net.add_argument("--t", type=float, required=True)
+    net.add_argument("--N", type=int, required=True)
 
     parser = argparse.ArgumentParser(
         prog="freeqg",
@@ -253,33 +285,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fuse", parents=[common], help="decompose a tensor product of irreducibles")
-    p.add_argument("--group", choices=("o", "u"), required=True)
+    p = sub.add_parser("fuse", parents=[grouped], help="decompose a tensor product of irreducibles")
     p.add_argument("--N", type=int, default=None, help="also report dimensions at this N")
     p.add_argument("operands", nargs="+",
                    help="levels (group o) or words over a/b (group u); '' is the unit word")
     p.set_defaults(func=cmd_fuse)
 
-    p = sub.add_parser("dims", parents=[common], help="exact quantum dimensions")
-    p.add_argument("--group", choices=("o", "u"), required=True)
+    p = sub.add_parser("dims", parents=[grouped], help="exact quantum dimensions")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("labels", nargs="+")
     p.set_defaults(func=cmd_dims)
 
-    p = sub.add_parser("coeffs", parents=[common], help="central multiplier coefficient table")
-    p.add_argument("--group", choices=("o", "u"), required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--N", type=int, required=True)
+    p = sub.add_parser("coeffs", parents=[net], help="central multiplier coefficient table")
     p.add_argument("--m", type=int, required=True, help="truncation level")
     p.add_argument("--t0", type=float, default=DEFAULT_T0)
     p.add_argument("--entry-cap", type=int, default=DEFAULT_ENTRY_CAP, dest="entry_cap")
     p.set_defaults(func=cmd_coeffs)
 
-    p = sub.add_parser("certify", parents=[common],
+    p = sub.add_parser("certify", parents=[net],
                        help="smallest truncation level with tail bound <= eps")
-    p.add_argument("--group", choices=("o", "u"), required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--N", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--D", type=float, default=None, help="orthogonal rapid-decay constant")
     p.add_argument("--R", type=float, default=None, help="unitary rapid-decay constant")

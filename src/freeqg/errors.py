@@ -10,7 +10,7 @@ class WordParseError(ValueError):
 
 
 class ResourceCapError(RuntimeError):
-    """A requested coefficient table would exceed the configured entry cap."""
+    """A request exceeds a cap: a table's entry cap, or the digits of a printed int."""
 
 
 class FormExpansionError(RuntimeError):

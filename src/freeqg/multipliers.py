@@ -286,9 +286,9 @@ class BoundParams:
         object.__setattr__(self, "t0", _check_t0(self.t0))
 
     def require(self, group: Group) -> float:
-        constant = self.D if group is Group.ORTH else self.R
+        name = "D" if group is Group.ORTH else "R"
+        constant = getattr(self, name)
         if constant is None:
-            name = "D" if group is Group.ORTH else "R"
             raise DomainError(f"the {name} rapid-decay constant is required and has no default")
         return constant
 
@@ -499,7 +499,6 @@ def approx_identity_weights(group, t, m, N, t0=DEFAULT_T0, entry_cap=DEFAULT_ENT
     ones conjugate by the word involution.
     """
     group = Group.coerce(group)
-    m = as_nonneg_int(m, "m")
     t, N = _check_tail_args(t, N, t0)
     if group is Group.ORTH:
         return [

@@ -17,9 +17,6 @@ import math
 from ._util import as_int, as_nonneg_int
 from .errors import DomainError
 
-#: Support of the semicircle law.
-SUPPORT = (-2.0, 2.0)
-
 
 def semicircle_density(x):
     """Density sqrt(4 - x^2)/(2 pi) on [-2, 2], zero outside.

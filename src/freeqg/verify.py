@@ -29,6 +29,10 @@ from .spectral import semicircle_moment
 
 Check = tuple[str, int, int]
 
+#: The N at which verify_dims checks orthogonal and unitary dimensions.
+ORTH_NS = (2, 3, 4, 5)
+UNIT_NS = (3, 4)
+
 
 def _tally(name: str, failures_per_case) -> Check:
     """The record (name, cases, failures) of one check.
@@ -117,8 +121,6 @@ def verify_forms(max_len: int = 10) -> list[Check]:
 
 def verify_dims(
     max_label: int = 12,
-    orth_ns: tuple[int, ...] = (2, 3, 4, 5),
-    unit_ns: tuple[int, ...] = (3, 4),
     exhaustive_len: int = 6,
     random_pairs: int = 10_000,
     random_len: int = 10,
@@ -138,13 +140,13 @@ def verify_dims(
     ]
     return [
         _tally("orth_dim_consistency", (
-            not dim_check_fusion(r, s, n) for n in orth_ns for r in labels for s in labels
+            not dim_check_fusion(r, s, n) for n in ORTH_NS for r in labels for s in labels
         )),
         _tally("unit_dim_consistency_exhaustive", (
-            not dim_check_fusion_unitary(g, h, n) for n in unit_ns for g in words for h in words
+            not dim_check_fusion_unitary(g, h, n) for n in UNIT_NS for g in words for h in words
         )),
         _tally("unit_dim_consistency_random", (
-            not dim_check_fusion_unitary(g, h, n) for n in unit_ns for g, h in sampled
+            not dim_check_fusion_unitary(g, h, n) for n in UNIT_NS for g, h in sampled
         )),
         # every short word, then random words drawn after the pairs
         _tally("unit_dim_two_routes", (
@@ -161,15 +163,15 @@ def verify_decay(
     grid_points: int = 20,
     max_n: int = 60,
     max_len: int = 8,
-    t0: float = DEFAULT_T0,
 ) -> list[Check]:
     """Geometric decay, contraction range, and monotonicity of the nets.
 
-    Each t-grid runs from t0 to N, so it needs ``grid_points >= 2``.
+    Each t-grid runs from DEFAULT_T0 to N, so it needs ``grid_points >= 2``.
     """
     grid_points = as_int(grid_points, "grid_points", 2)
     max_n = as_nonneg_int(max_n, "max_n")
     max_len = as_nonneg_int(max_len, "max_len")
+    t0 = DEFAULT_T0
     # every N of the suite must carry a net on [t0, N]
     ns = tuple(_check_ratio_args(t0, n, t0)[1] for n in ns)
     import numpy as np

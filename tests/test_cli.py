@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -493,6 +495,82 @@ class TestRecordSchema:
         lines = out.splitlines()
         assert lines[0].split(",") == sorted(record["rows"][0])
         assert len(lines) == 1 + len(record["rows"])
+
+
+@pytest.fixture
+def str_digits_limit():
+    """The interpreter's int-to-str limit, set to its default of 4300 for one test."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+def first_level_past(limit, N):
+    # the smallest n with u_n(N) >= 10**limit, by the integer recursion
+    n, prev, cur, bound = 1, 1, N, 10**limit
+    while cur < bound:
+        n, prev, cur = n + 1, cur, N * cur - prev
+    return n
+
+
+class TestDimensionDigits:
+    """A dimension too long for ``str`` exits 4 before any recursion runs."""
+
+    @pytest.mark.parametrize("N", [3, 4, 8])
+    def test_limit_is_tight_for_levels(self, capsys, str_digits_limit, N):
+        top = first_level_past(str_digits_limit, N)
+        code, record = run_json(capsys, "dims", "--group", "o", "--N", str(N), str(top - 1))
+        assert code == 0
+        assert len(record["rows"][0]["dimension"]) == str_digits_limit
+        code = cli.main(["dims", "--group", "o", "--N", str(N), str(top)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (4, "")
+        assert f"label {top} for N={N}" in captured.err
+
+    def test_limit_is_tight_for_words(self, capsys, str_digits_limit):
+        # the word a^k has dimension 3**k at N = 3
+        k = math.ceil(str_digits_limit / math.log10(3))
+        assert 3 ** (k - 1) < 10**str_digits_limit <= 3**k
+        code, _ = run(capsys, "dims", "--group", "u", "--N", "3", "a" * (k - 1), "ab" * 500)
+        assert code == 0
+        code, out = run(capsys, "dims", "--group", "u", "--N", "3", "ab", "a" * k)
+        assert (code, out) == (4, "")
+
+    def test_follows_the_interpreter_limit(self, capsys, str_digits_limit):
+        assert run(capsys, "dims", "--group", "o", "--N", "3", "10300")[0] == 4
+        sys.set_int_max_str_digits(5000)
+        assert run(capsys, "dims", "--group", "o", "--N", "3", "10300")[0] == 0
+
+    @pytest.mark.parametrize("argv,code", [
+        ("dims --group o --N 3 10300", 4),
+        ("dims --group o --N 8 4800", 4),
+        ("dims --group u --N 3 " + "a" * 30000, 4),
+        ("fuse --group o --N 3 6000 6000", 4),
+        ("dims --group o --N 3 100000000", 4),
+        ("dims --group o --N 3 " + "9" * 400, 4),
+        ("dims --group o --N 2 1000000000", 0),
+    ], ids=["o-3-10300", "o-8-4800", "u-3-a30000", "fuse-o-3-6000-6000", "o-3-1e8",
+            "o-3-400-digits", "o-2-1e9"])
+    def test_exit_code_within_wall_time(self, capsys, str_digits_limit, argv, code):
+        start = time.perf_counter()
+        result = cli.main(argv.split())
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert result == code
+        assert elapsed < 2.0
+        assert "Traceback" not in captured.err
+        if code == 4:
+            assert captured.out == ""
+            assert "resource error" in captured.err
+
+    def test_small_n_and_negative_level_are_still_domain_errors(self, capsys, str_digits_limit):
+        for argv in (["dims", "--group", "o", "--N", "1", "3"],
+                     ["dims", "--group", "u", "--N", "1", "ab"],
+                     ["dims", "--group", "o", "--N", "3", "--", "-1"],
+                     ["fuse", "--group", "o", "--N", "1", "1", "1"]):
+            assert cli.main(argv) == 3
+            assert "domain error" in capsys.readouterr().err
 
 
 NUMPY_PROBE = """
