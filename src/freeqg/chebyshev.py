@@ -74,7 +74,14 @@ def q_of(t) -> float:
 
 @lru_cache(maxsize=1024)
 def _dim_orth(n: int, N: int) -> int:
-    return n + 1 if N == 2 else cheby_u(n, N)  # u_n(2) = n + 1, without n steps
+    # u_n(N) by doubling over the bits of n, in O(log n) steps: (u, v) is
+    # (u_j, u_j+1), w = N*u - v is u_j-1, and u_2j = u_j**2 - u_j-1**2,
+    # u_2j+1 = u_j*(u_j+1 - u_j-1), u_2j+2 = u_j+1**2 - u_j**2
+    u, v = 1, N  # j = 0
+    for bit in bin(n)[2:]:
+        w = N * u - v
+        u, v = (u * (v - w), v * v - u * u) if bit == "1" else (u * u - w * w, u * (v - w))
+    return u
 
 
 def dim_orth(n, N) -> int:

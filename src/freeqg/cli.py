@@ -46,21 +46,7 @@ class CliUsageError(Exception):
 # deterministic serialization
 
 def _json_token(value) -> str:
-    """Serialize one JSON value: sorted keys, floats at 15 significant digits.
-
-    The fast paths give the same bytes as the general code.  Floats, strings
-    and ints are dispatched on their exact type before the ``isinstance``
-    chain (``bool`` is not ``int`` there, so it still prints true/false).
-    :func:`_json_string` skips the substitution when a regex finds no quote,
-    backslash or control character.
-    """
-    kind = type(value)
-    if kind is float:
-        return format(value, ".15g")
-    if kind is str:
-        return _json_string(value)
-    if kind is int:
-        return str(value)
+    """Serialize one JSON value: sorted keys, floats at 15 significant digits."""
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -72,21 +58,11 @@ def _json_token(value) -> str:
     if isinstance(value, str):
         return _json_string(value)
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_json_token(v) for v in value) + "]"
+        return "[" + ",".join(_cells(value, "jsonl")) + "]"
     if isinstance(value, dict):
         items = sorted(value.items(), key=lambda kv: str(kv[0]))
         return "{" + ",".join(f"{_json_string(str(k))}:{_json_token(v)}" for k, v in items) + "}"
     raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def _json_rows(rows, keys) -> str:
-    # the "key": prefixes are built once, and each row is one join
-    prefixes = [(key, _json_string(key) + ":") for key in keys]
-    token = _json_token
-    return "[" + ",".join(
-        "{" + ",".join([prefix + token(row[key]) for key, prefix in prefixes]) + "}"
-        for row in rows
-    ) + "]"
 
 
 #: The JSON escape of each character that needs one, and a regex that finds them.
@@ -106,21 +82,52 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _cells(column: list, fmt: str):
+    """One column's cells in fmt, as _json_token or _csv_cell writes each value.
+
+    Exact floats that repeat are formatted once per distinct value, unless
+    a zero is among them (0.0 == -0.0 prints two ways); exact ints and
+    escape-free strings skip the per-value dispatch.  A JSON list's items
+    are written as one column too.
+    """
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        text = "%.15g".__mod__  # format(value, ".15g"), without a Python call per value
+        distinct = set(column)
+        if 0.0 in distinct or len(distinct) == len(column):
+            return map(text, column)
+        return map(dict(zip(distinct, map(text, distinct))).__getitem__, column)
+    if kinds == {int}:
+        return map(str, column)
+    if fmt == "csv":
+        return column if kinds == {str} else map(_csv_cell, column)
+    if kinds == {str} and not _NEEDS_ESCAPE.search("".join(column)):
+        return map('"%s"'.__mod__, column)
+    return map(_json_token, column)
+
+
 def _emit(record: dict, fmt: str, stream) -> None:
-    # every handler builds its rows over one key set, and at least one row
-    rows = record["rows"]
-    keys = sorted(rows[0])
+    """Write a record ``{"command", "params", "columns"}`` as one JSON line or a CSV table.
+
+    ``columns`` maps each key to a list, all of one length >= 1.  The keys
+    are sorted once and each column's cells built once by :func:`_cells`;
+    both writers zip the cells into rows.  A JSON row fills one ``%s``
+    template of the quoted keys, in ``{"command":…,"params":…,"rows":[…]}``.
+    """
+    columns = record["columns"]
+    keys = sorted(columns)
+    rows = zip(*(_cells(columns[key], fmt) for key in keys))
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(keys)
-        writer.writerows([_csv_cell(row[key]) for key in keys] for row in rows)
+        writer.writerows(rows)
         stream.write(buf.getvalue())
     else:
-        # the record's keys in sorted order
+        template = "{" + ",".join(_json_string(k).replace("%", "%%") + ":%s" for k in keys) + "}"
         stream.write('{"command":' + _json_token(record["command"])
                      + ',"params":' + _json_token(record["params"])
-                     + ',"rows":' + _json_rows(rows, keys) + "}\n")
+                     + ',"rows":[' + ",".join(map(template.__mod__, rows)) + "]}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +160,8 @@ def _decimal_dims(group: Group, labels, N) -> list[str]:
             continue
         blocks = (length,) if orth else alternating_form(label).blocks
         if _log10_dim(blocks, N) >= limit:
-            raise ResourceCapError(f"the dimension at label {label!r} for N={N} "
+            name = repr(label) if orth or length <= 40 else f"{label[:20]!r}... of {length} letters"
+            raise ResourceCapError(f"the dimension at label {name} for N={N} "
                                    f"has more than {limit} decimal digits")
     dim = dim_orth if orth else dim_unitary
     return [str(dim(label, N)) for label in labels]
@@ -180,31 +188,31 @@ def cmd_fuse(args) -> tuple[dict, int]:
     labels = [_parse_label(tok, group) for tok in args.operands]
     fuse_many = fuse_orth_many if group is Group.ORTH else fuse_unitary_many
     terms = fuse_many(labels)
-    rows = [{"label": str(label), "multiplicity": str(mult)} for label, mult in terms.items()]
+    columns = {"label": list(map(str, terms)), "multiplicity": list(map(str, terms.values()))}
     if args.N is not None:
-        for row, dim in zip(rows, _decimal_dims(group, terms, args.N)):
-            row["dimension"] = dim
+        columns["dimension"] = _decimal_dims(group, terms, args.N)
     params = {"group": group.value, "operands": [str(l) for l in labels], "N": args.N}
-    return {"command": "fuse", "params": params, "rows": rows}, EXIT_OK
+    return {"command": "fuse", "params": params, "columns": columns}, EXIT_OK
 
 
 def cmd_dims(args) -> tuple[dict, int]:
     group = Group.coerce(args.group)
     labels = [_parse_label(tok, group) for tok in args.labels]
-    dims = _decimal_dims(group, labels, args.N)
-    rows = [{"label": str(label), "dimension": dim} for label, dim in zip(labels, dims)]
+    columns = {"label": list(map(str, labels)), "dimension": _decimal_dims(group, labels, args.N)}
     params = {"group": group.value, "N": args.N}
-    return {"command": "dims", "params": params, "rows": rows}, EXIT_OK
+    return {"command": "dims", "params": params, "columns": columns}, EXIT_OK
 
 
 def cmd_coeffs(args) -> tuple[dict, int]:
     group = Group.coerce(args.group)
     table = truncated_coeffs(group, args.t, args.m, args.N, t0=args.t0, entry_cap=args.entry_cap)
     maxima = table.level_maxima()
-    rows = [
-        {"label": str(label), "level": (label if group is Group.ORTH else len(label)), "coeff": value}
-        for label, value in table.entries.items()
-    ]
+    entries = table.entries
+    columns = {
+        "label": list(map(str, entries)),
+        "level": list(entries) if group is Group.ORTH else list(map(len, entries)),
+        "coeff": list(entries.values()),
+    }
     params = {
         "group": group.value,
         "t": float(args.t),
@@ -216,7 +224,7 @@ def cmd_coeffs(args) -> tuple[dict, int]:
     }
     if group is Group.UNIT:
         params["r"] = table.r
-    return {"command": "coeffs", "params": params, "rows": rows}, EXIT_OK
+    return {"command": "coeffs", "params": params, "columns": columns}, EXIT_OK
 
 
 def cmd_certify(args) -> tuple[dict, int]:
@@ -228,7 +236,7 @@ def cmd_certify(args) -> tuple[dict, int]:
             f"--group {group.value} requires --{rd_name} ({kind} rapid-decay constant)")
     bounds = BoundParams(**{rd_name: rd_value}, t0=args.t0)
     cert = choose_truncation(args.t, args.eps, args.N, group, bounds)
-    rows = [{"m": cert.m, "tail_bound": cert.tail_bound, "eps": cert.target_eps}]
+    columns = {"m": [cert.m], "tail_bound": [cert.tail_bound], "eps": [cert.target_eps]}
     params = {
         "group": group.value,
         "t": float(args.t),
@@ -236,7 +244,7 @@ def cmd_certify(args) -> tuple[dict, int]:
         "t0": float(args.t0),
         rd_name: float(rd_value),
     }
-    return {"command": "certify", "params": params, "rows": rows}, EXIT_OK
+    return {"command": "certify", "params": params, "columns": columns}, EXIT_OK
 
 
 def cmd_verify(args) -> tuple[dict, int]:
@@ -250,11 +258,11 @@ def cmd_verify(args) -> tuple[dict, int]:
         "decay": {"ns": tuple(args.N) if args.N else (3, 4, 5, 6), "grid_points": args.grid,
                   "max_len": args.max_len},
     }[suite]
-    checks = SUITES[suite](**kwargs)
-    rows = [{"check": name, "cases": cases, "failures": failures} for name, cases, failures in checks]
+    names, cases, failures = map(list, zip(*SUITES[suite](**kwargs)))
+    columns = {"check": names, "cases": cases, "failures": failures}
     params = {"suite": suite, "seed": args.seed}
-    code = EXIT_VERIFY if any(failures for _, _, failures in checks) else EXIT_OK
-    return {"command": "verify", "params": params, "rows": rows}, code
+    code = EXIT_VERIFY if any(failures) else EXIT_OK
+    return {"command": "verify", "params": params, "columns": columns}, code
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ def involution(w: str) -> str:
 def words_of_length(n: int):
     """All words of exactly length n, in lexicographic order."""
     n = as_nonneg_int(n, "n")
-    return ("".join(letters) for letters in product(ALPHABET, repeat=n))
+    return map("".join, product(ALPHABET, repeat=n))
 
 
 def all_words(max_len: int):

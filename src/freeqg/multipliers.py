@@ -26,7 +26,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
+from itertools import chain
 from types import MappingProxyType
 
 from ._util import as_nonneg_int
@@ -92,7 +92,10 @@ class MultiplierCoeffs:
     ``decay_constant(t0) * (t/N)**level``.  ``t``, ``N`` and ``t0`` are
     checked as :func:`~freeqg.chebyshev.coeff_ratio` checks them, and the
     labels must be non-negative integers or words over 'a'/'b'.  ``r`` is
-    derived: r(t) for a unitary table, None for an orthogonal one.
+    derived: r(t) for a unitary table, None for an orthogonal one.  Every
+    table, built here or by a caller, has its values checked in one pass
+    (``min``, ``max`` and a NaN test); a value outside (0, 1] raises
+    :class:`~freeqg.errors.DomainError` naming the first such label.
     """
 
     group: Group
@@ -122,9 +125,12 @@ class MultiplierCoeffs:
             if stray:
                 bad = next(w for w in entries if not isinstance(w, str) or w.strip(ALPHABET))
                 raise DomainError(f"unitary labels must be words over 'a'/'b', got {bad!r}")
-        for label, value in entries.items():
-            if not 0.0 < value <= 1.0 + BOUND_SLACK:
-                raise DomainError(f"coefficient at {label!r} is {value}, outside (0, 1]")
+        # min and max skip a NaN that is not first; the walk only names the first bad label
+        values = entries.values()
+        low, high = min(values, default=1.0), max(values, default=1.0)
+        if not 0.0 < low <= high <= 1.0 + BOUND_SLACK or any(map(math.isnan, values)):
+            bad = next(k for k, v in entries.items() if not 0.0 < v <= 1.0 + BOUND_SLACK)
+            raise DomainError(f"coefficient at {bad!r} is {entries[bad]}, outside (0, 1]")
         trivial = entries.get(self.group.trivial_label)
         if trivial is not None and trivial != 1.0:
             raise DomainError(f"trivial-label coefficient must be exactly 1, got {trivial}")
@@ -427,18 +433,18 @@ def truncated_coeffs(group, t, m, N, t0=DEFAULT_T0, entry_cap=DEFAULT_ENTRY_CAP)
 
     The unitary table validates its arguments once, through one ``r_of`` and
     that pass, and then walks the word trie level by level in
-    :func:`~freeqg.free_unitary.all_words` order, keeping two levels at a
-    time.  The alternating form of ``w + letter`` follows from that of ``w``
-    in O(1): a repeated letter closes the open run and adds one nonzero
-    sign, otherwise the open run grows.  So no word
-    is parsed, and each distinct trie state is expanded once.  Each
-    coefficient is ``r**eps_weight`` times the ratios of the sorted blocks,
-    multiplied in the order :func:`a_coeff_from_form` uses, so every entry
-    has the bits of ``a_coeff_from_form(alternating_form(w), t, N, t0)``.  It
-    is computed once per key ``(eps_weight, sorted blocks)`` (1,356 keys for
-    the 131,071 words of length <= 16), in memos local to the call.  A word
-    and its involution have the same key, so the table is
-    involution-symmetric bit for bit.
+    :func:`~freeqg.free_unitary.all_words` order.  The alternating form of
+    ``w + letter`` follows from that of ``w`` in O(1): a repeated letter
+    closes the open run and adds one nonzero sign, otherwise the open run
+    grows.  So no word is parsed.  Each distinct trie state (4,911 for the
+    131,071 words of length <= 16) is interned once as an integer id, with
+    its children's ids and its coefficient; a level is the list of its
+    words' state ids, expanded from the one before.  Each coefficient is ``r**eps_weight`` times the ratios
+    of the sorted blocks, multiplied in the order :func:`a_coeff_from_form`
+    uses, so every entry has the bits of
+    ``a_coeff_from_form(alternating_form(w), t, N, t0)``.  A word and its
+    involution have the same ``(eps_weight, sorted blocks)``, so the table
+    is involution-symmetric bit for bit.
     """
     group = Group.coerce(group)
     m = as_nonneg_int(m, "m")
@@ -458,23 +464,11 @@ def truncated_coeffs(group, t, m, N, t0=DEFAULT_T0, entry_cap=DEFAULT_ENTRY_CAP)
 
 def _unitary_entries(m: int, r: float, ratios: list) -> dict:
     """a_t at every word of length <= m, from r(t) and ratios[k] = u_k(t)/u_k(N)."""
-
-    @lru_cache(maxsize=None)
-    def coeff(eps_weight, blocks):
-        value = r**eps_weight
-        for k in blocks:
-            value *= ratios[k]
-        return value
-
     # The trie state of a word: (leading sign + one per repeated letter,
     # closed runs sorted, open run, last letter).  Words in one state share
-    # the key (eps_weight, sorted blocks) and their children share states.
-    @lru_cache(maxsize=None)
-    def value(state):
-        weight, closed, run, last = state
-        return coeff(weight + (last == "b"), tuple(sorted(closed + (run,))) if run else ())
-
-    @lru_cache(maxsize=None)
+    # a coefficient and their children share states.  A state's id is its
+    # place in `ids`; kids[i] holds the ids of the children of state i
+    # through 'a' and 'b'.
     def children(state):
         weight, closed, run, last = state
         if last is None:  # the empty word
@@ -483,12 +477,23 @@ def _unitary_entries(m: int, r: float, ratios: list) -> dict:
         grow = (weight, closed, run + 1, "b" if last == "a" else "a")
         return (repeat, grow) if last == "a" else (grow, repeat)
 
-    level = [(0, (), 0, None)]
-    values = [value(level[0])]
+    def value(state):
+        weight, closed, run, last = state
+        value = r ** (weight + (last == "b"))
+        for k in sorted(closed + (run,)) if run else ():
+            value *= ratios[k]
+        return value
+
+    ids = {(0, (), 0, None): 0}
+    level, order, kids = [0], [0], []
     for _ in range(m):
-        level = [child for state in level for child in children(state)]
-        values += map(value, level)
-    return dict(zip(all_words(m), values))
+        # the states first met on the last level are the ones without children yet
+        kids += [tuple(ids.setdefault(child, len(ids)) for child in children(state))
+                 for state in list(ids)[len(kids):]]
+        level = list(chain.from_iterable(map(kids.__getitem__, level)))
+        order += level
+    values = list(map(value, ids))
+    return dict(zip(all_words(m), map(values.__getitem__, order)))
 
 
 def approx_identity_weights(group, t, m, N, t0=DEFAULT_T0, entry_cap=DEFAULT_ENTRY_CAP):

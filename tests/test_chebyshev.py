@@ -114,9 +114,11 @@ class TestDimOrth:
         with pytest.raises(DomainError):
             dim_orth(3, 1)
 
-    @pytest.mark.parametrize("N", [2, 3, 8])
+    @pytest.mark.parametrize("N", [2, 3, 4, 8])
     def test_is_the_integer_recursion(self, N):
-        for n in range(301):
+        # dim_orth doubles over the bits of n; cheby_u steps through every level
+        edges = [2**k + d for k in range(9, 12) for d in (-1, 0, 1)]
+        for n in [*range(301), *edges, 3000]:
             value = dim_orth(n, N)
             assert type(value) is int
             assert value == cheby_u(n, N)

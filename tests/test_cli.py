@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 import shlex
@@ -6,6 +8,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -151,6 +154,15 @@ class TestCoeffs:
          "826ea66100ef3779296f8be97364a14ec3da98cdac00d322b67904dbee54b125"),
         ("--group o --t 2.9 --N 3 --m 60",
          "017057701f33ba27516aa69d27b13ab84bd129b8d63cd7725c349691bf93f7c0"),
+        # recorded before the writers built their cells column by column
+        ("--group u --t 2.7 --N 4 --m 13",
+         "75825d864bbf26ed97361aef66232210291a9f5c553525be109c60e156686586"),
+        ("--group u --t 2.7 --N 4 --m 13 --format csv",
+         "d28fc4a2d513afe0c895cd2bc11daa2aa14d1277c298bda85eb8acb3037e0ec6"),
+        ("--group o --t 2.9 --N 3 --m 728",
+         "5142e08c00fcfad9794804c140a1065be6b8f24c59efe7f121b55151c368f1f4"),
+        ("--group o --t 2.9 --N 3 --m 728 --format csv",
+         "d01991c07e350837eb3ac26e7b24b3b4354b9bd5fe2db5b7e89479c8867c1c1f"),
     ])
     def test_stdout_bytes_pinned(self, capsys, argv, digest):
         code, out = run(capsys, "coeffs", *argv.split())
@@ -564,6 +576,13 @@ class TestDimensionDigits:
             assert captured.out == ""
             assert "resource error" in captured.err
 
+    def test_long_word_is_named_by_its_length(self, capsys, str_digits_limit):
+        code = cli.main(["dims", "--group", "u", "--N", "3", "a" * 30000])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (4, "")
+        assert len(captured.err.encode()) < 200
+        assert f"label {'a' * 20!r}... of 30000 letters for N=3" in captured.err
+
     def test_small_n_and_negative_level_are_still_domain_errors(self, capsys, str_digits_limit):
         for argv in (["dims", "--group", "o", "--N", "1", "3"],
                      ["dims", "--group", "u", "--N", "1", "ab"],
@@ -732,3 +751,74 @@ class TestJsonWriter:
                       [{"k": 1}, {"k": 2, "x": 3}], [{1: "a", "1": "b"}, {"1": "b", 1: "a"}],
                       {"s": '"\\\x00\x1fé'}, 10**40, -(10**40), False, True):
             assert cli._json_token(value) == reference_json_token(value)
+
+
+def reference_csv(keys, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(keys)
+    writer.writerows([cli._csv_cell(row[key]) for key in keys] for row in rows)
+    return buf.getvalue()
+
+
+keys_text = st.text(alphabet=st.sampled_from('ab%"\\,\n\x00é')) | texts
+column_kinds = {
+    "float": st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    "int": st.integers() | st.integers(min_value=10**30),
+    "str": texts,
+    "mixed": (scalars | st.sampled_from([True, 1, 1.0, 0.0, -0.0])
+              | st.floats().map(np.float64)),
+}
+
+
+@st.composite
+def column_records(draw):
+    """Records whose columns share one length; each column of one kind, or mixed."""
+    keys = draw(st.lists(keys_text, min_size=1, max_size=4, unique=True))
+    length = draw(st.integers(1, 6))
+    columns = {
+        key: draw(st.lists(column_kinds[draw(st.sampled_from(sorted(column_kinds)))],
+                           min_size=length, max_size=length))
+        for key in keys
+    }
+    params = draw(st.dictionaries(texts, scalars, max_size=3))
+    return {"command": draw(texts), "params": params, "columns": columns}
+
+
+class TestColumnWriter:
+    """_emit over columns writes what the row writers wrote over the same rows."""
+
+    @staticmethod
+    def check(record):
+        keys = sorted(record["columns"])
+        rows = [dict(zip(keys, values)) for values in zip(*(record["columns"][k] for k in keys))]
+        out = io.StringIO()
+        cli._emit(record, "jsonl", out)
+        assert out.getvalue() == (
+            '{"command":' + reference_json_token(record["command"])
+            + ',"params":' + reference_json_token(record["params"])
+            + ',"rows":' + reference_json_token(rows) + "}\n"
+        )
+        out = io.StringIO()
+        cli._emit(record, "csv", out)
+        assert out.getvalue() == reference_csv(keys, rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(column_records())
+    def test_matches_the_row_writers(self, record):
+        self.check(record)
+
+    @pytest.mark.parametrize("columns", [
+        {"x": [0.0, -0.0, 0.5, 0.5]},
+        {"x": [-0.0, 0.25, -0.0]},
+        {"x": [math.nan, 0.5, math.nan, float("nan")], "y": [math.inf, -math.inf, 1e300, 5e-324]},
+        {"x": [True, 1, 1.0, False, 0, -0.0]},
+        {"x": [10**40, -(10**31), 7]},
+        {"x": [np.float64(0.1), 0.1, np.float64(-0.0)]},
+        {"x": ['a"b', "c\\d", "e\x00", "plain"]},
+        {"%s": ["1"], 'k"': ["2"], "k\\": ["3"], "%%": ["4"]},
+        {"k": [""]},
+        {"k": ["", ""], "j": ["x", ""]},
+    ])
+    def test_examples(self, columns):
+        self.check({"command": "coeffs", "params": {"t": 2.5}, "columns": columns})

@@ -3,6 +3,7 @@ import random
 import sys
 import time
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -571,6 +572,36 @@ class TestTruncatedCoeffs:
         assert table.level_maxima() == {0: 1.0, 2: 0.5}
         table = MultiplierCoeffs("u", {np.str_("ab"): 0.5, np.str_("ba"): 0.25}, t=2.5, N=3)
         assert table.level_maxima() == {2: 0.5}
+
+    @staticmethod
+    def valid_levels(count):
+        return {0: 1.0, **{n: 0.5 for n in range(1, count)}}
+
+    @pytest.mark.parametrize("group,entries,bad", [
+        ("o", {**valid_levels(1000), 500: math.nan}, 500),
+        ("o", {**valid_levels(1000), 500: np.float64("nan")}, 500),
+        ("u", {w: 0.5 for w in list(all_words(9))[1:1001]} | {"ab": math.nan}, "ab"),
+        ("o", {**valid_levels(10), 10: -0.0, 11: 0.5}, 10),
+        ("o", {**valid_levels(10), 10: 0.0}, 10),
+        ("o", {**valid_levels(10), 10: 1.0 + 2e-12, 11: 0.5}, 10),
+        ("o", {**valid_levels(10), 10: Fraction(0), 11: 0.5}, 10),
+        ("o", {**valid_levels(10), 10: np.float64(1.5), 11: 0.5}, 10),
+        ("o", {0: 1.0, 7: math.nan, 3: 0.0, 5: 0.5}, 7),
+        ("o", {0: 1.0, 9: 2.0, 4: math.nan, 5: 0.5}, 9),
+    ], ids=["nan-among-1000", "np-nan-among-1000", "nan-word", "minus-zero", "zero-last",
+            "above-slack", "fraction-zero", "np-float64-above-1", "nan-before-zero",
+            "above-1-before-nan"])
+    def test_out_of_range_value_is_named(self, group, entries, bad):
+        # min and max skip a NaN that is not first; the first bad label in
+        # insertion order is the one named
+        with pytest.raises(DomainError) as info:
+            MultiplierCoeffs(group, entries, t=2.5, N=3)
+        assert f"coefficient at {bad!r} is {entries[bad]}, outside (0, 1]" == str(info.value)
+
+    def test_values_at_the_ends_of_the_range(self):
+        entries = {0: 1.0, 1: 1.0 + 1e-12, 2: 5e-324, 3: Fraction(1, 2), 4: np.float64(0.25)}
+        assert MultiplierCoeffs("o", entries, t=2.5, N=3).entries == entries
+        assert MultiplierCoeffs("u", {}, t=2.5, N=3).entries == {}
 
 
 class TestApproxIdentityWeights:
