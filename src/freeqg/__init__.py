@@ -21,7 +21,6 @@ output; see :mod:`freeqg.cli`.
 
 from .chebyshev import (
     DEFAULT_T0,
-    cheby_coeffs,
     cheby_u,
     coeff_ratio,
     coeff_ratios,
@@ -101,7 +100,6 @@ __all__ = [
     "catalan",
     "char_expand_oracle",
     "char_moment_orth",
-    "cheby_coeffs",
     "cheby_u",
     "choose_truncation",
     "coeff_ratio",

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import zip_longest
 
 from ._util import as_int, as_nonneg_int
 from .errors import DomainError
@@ -48,19 +47,6 @@ def cheby_u(n, x):
     prev, cur = 0, x * 0 + 1  # u_{-1} = 0 and u_0 = 1, in the arithmetic of x
     for _ in range(n):
         prev, cur = cur, x * cur - prev
-    return cur
-
-
-def cheby_coeffs(n) -> list[int]:
-    """Exact integer coefficient vector of u_n; index i holds the x**i term.
-
-    u_n is monic of degree n.
-    """
-    n = as_nonneg_int(n, "n")
-    prev, cur = [], [1]  # u_{-1} = 0 and u_0 = 1
-    for _ in range(n):
-        shifted = [0] + cur  # multiply by x
-        prev, cur = cur, [a - b for a, b in zip_longest(shifted, prev, fillvalue=0)]
     return cur
 
 

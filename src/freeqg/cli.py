@@ -4,7 +4,9 @@ Every invocation emits one output record ``{"command", "params", "rows"}``.
 JSON records are serialized with sorted keys, floats at 15 significant
 digits, and big integers as strings, so identical invocations are
 byte-identical.  Exit codes: 0 success, 1 verification failure, 2 parse
-error, 3 domain error, 4 resource cap.
+error, 3 domain error, 4 resource cap (a unitary table past ``--entry-cap``,
+a dimension too long to print, or an orthogonal ``fuse`` product of more
+than ``DEFAULT_ENTRY_CAP`` summands).
 """
 
 from __future__ import annotations
@@ -186,6 +188,11 @@ def _log10_dim(blocks, N: int) -> float:
 def cmd_fuse(args) -> tuple[dict, int]:
     group = Group.coerce(args.group)
     labels = [_parse_label(tok, group) for tok in args.operands]
+    if group is Group.ORTH:  # the summands are low, low + 2, ..., total: count them first
+        total = sum(as_nonneg_int(level, "label") for level in labels)
+        low = max(2 * max(labels) - total, total % 2)
+        if (total - low) // 2 + 1 > DEFAULT_ENTRY_CAP:
+            raise ResourceCapError(f"the product has more than {DEFAULT_ENTRY_CAP} summands")
     fuse_many = fuse_orth_many if group is Group.ORTH else fuse_unitary_many
     terms = fuse_many(labels)
     columns = {"label": list(map(str, terms)), "multiplicity": list(map(str, terms.values()))}
@@ -285,6 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     net = argparse.ArgumentParser(add_help=False, parents=[grouped])  # the net at t and N
     net.add_argument("--t", type=float, required=True)
     net.add_argument("--N", type=int, required=True)
+    net.add_argument("--t0", type=float, default=DEFAULT_T0)
 
     parser = argparse.ArgumentParser(
         prog="freeqg",
@@ -306,7 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeffs", parents=[net], help="central multiplier coefficient table")
     p.add_argument("--m", type=int, required=True, help="truncation level")
-    p.add_argument("--t0", type=float, default=DEFAULT_T0)
     p.add_argument("--entry-cap", type=int, default=DEFAULT_ENTRY_CAP, dest="entry_cap")
     p.set_defaults(func=cmd_coeffs)
 
@@ -315,7 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--D", type=float, default=None, help="orthogonal rapid-decay constant")
     p.add_argument("--R", type=float, default=None, help="unitary rapid-decay constant")
-    p.add_argument("--t0", type=float, default=DEFAULT_T0)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("verify", parents=[common], help="run an invariant suite")

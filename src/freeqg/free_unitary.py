@@ -33,6 +33,7 @@ from os.path import commonprefix
 from ._util import as_int, as_nonneg_int
 from .chebyshev import _dim_orth
 from .errors import FormExpansionError, WordParseError
+from .fusion_orth import _fold
 
 ALPHABET = "ab"
 _SWAP = str.maketrans("ab", "ba")
@@ -87,14 +88,7 @@ def fuse_unitary_many(words) -> dict[str, int]:
     terms are ordered by (length, lexicographic).  The empty sequence gives
     the unit {'': 1}.
     """
-    acc = {"": 1}
-    for w in words:
-        nxt: dict[str, int] = {}
-        for term, mult in acc.items():
-            for summand in fuse_unitary(term, w):
-                nxt[summand] = nxt.get(summand, 0) + mult
-        acc = nxt
-    return dict(sorted(acc.items(), key=lambda kv: (len(kv[0]), kv[0])))
+    return _fold(fuse_unitary, "", words, key=lambda kv: (len(kv[0]), kv[0]))
 
 
 @dataclass(frozen=True)

@@ -39,15 +39,21 @@ def fuse_orth_many(labels: Iterable[int]) -> FusionSum:
     tensor factors.  Fusion is associative, hence the result is independent
     of evaluation order.  The empty sequence gives the unit {0: 1}.
     """
-    acc: FusionSum = {0: 1}
+    return _fold(fuse_orth, 0, (as_nonneg_int(s, "label") for s in labels))
+
+
+def _fold(fuse, unit, labels, key=None) -> dict:
+    # the left-to-right fold of fuse over labels from {unit: 1}, adding up
+    # multiplicities; the terms are returned sorted by key, which is given
+    # each (term, multiplicity) pair
+    acc = {unit: 1}
     for s in labels:
-        s = as_nonneg_int(s, "label")
-        nxt: FusionSum = {}
+        nxt = {}
         for a, mult in acc.items():
-            for b in fuse_orth(a, s):
+            for b in fuse(a, s):
                 nxt[b] = nxt.get(b, 0) + mult
         acc = nxt
-    return dict(sorted(acc.items()))
+    return dict(sorted(acc.items(), key=key))
 
 
 def char_moment_orth(k) -> int:

@@ -62,18 +62,10 @@ class Group(enum.Enum):
     def coerce(cls, value) -> "Group":
         if isinstance(value, cls):
             return value
-        key = str(value).strip().lower()
-        table = {
-            "o": cls.ORTH,
-            "orth": cls.ORTH,
-            "orthogonal": cls.ORTH,
-            "u": cls.UNIT,
-            "unit": cls.UNIT,
-            "unitary": cls.UNIT,
-        }
-        if key not in table:
-            raise DomainError(f"unknown group {value!r}; expected 'o' or 'u'")
-        return table[key]
+        try:
+            return cls(value)
+        except ValueError:
+            raise DomainError(f"unknown group {value!r}; expected 'o' or 'u'") from None
 
     @property
     def trivial_label(self):
@@ -505,14 +497,10 @@ def approx_identity_weights(group, t, m, N, t0=DEFAULT_T0, entry_cap=DEFAULT_ENT
     """
     group = Group.coerce(group)
     t, N = _check_tail_args(t, N, t0)
-    if group is Group.ORTH:
-        return [
-            (n, ratio * _float_dim(dim_orth(n, N), n))
-            for n, ratio in enumerate(coeff_ratios(m, t, N, t0))
-        ]
+    dim = dim_orth if group is Group.ORTH else dim_unitary
     # a_t(involution(w)) == a_t(w) bit for bit (same weight, same sorted blocks)
     coeffs = truncated_coeffs(group, t, m, N, t0, entry_cap).entries
-    return [(w, a * _float_dim(dim_unitary(w, N), w)) for w, a in coeffs.items()]
+    return [(label, a * _float_dim(dim(label, N), label)) for label, a in coeffs.items()]
 
 
 def _float_dim(dim: int, label) -> float:

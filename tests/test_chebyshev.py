@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from freeqg import (
     DomainError,
-    cheby_coeffs,
     cheby_u,
     coeff_ratio,
     coeff_ratios,
@@ -51,26 +50,6 @@ class TestChebyU:
     def test_rejects_negative_order(self):
         with pytest.raises(DomainError):
             cheby_u(-1, 3.0)
-
-
-class TestChebyCoeffs:
-    def test_first_polynomials(self):
-        assert cheby_coeffs(0) == [1]
-        assert cheby_coeffs(1) == [0, 1]
-        assert cheby_coeffs(2) == [-1, 0, 1]
-        assert cheby_coeffs(3) == [0, -2, 0, 1]
-
-    @pytest.mark.parametrize("n", range(26))
-    def test_monic_of_degree_n(self, n):
-        coeffs = cheby_coeffs(n)
-        assert len(coeffs) == n + 1
-        assert coeffs[-1] == 1
-
-    @pytest.mark.parametrize("n", [0, 1, 2, 5, 11, 20])
-    def test_coefficients_evaluate_to_recursion_values(self, n):
-        for x in (-3, 0, 1, 2, 4):
-            horner = sum(c * x**i for i, c in enumerate(cheby_coeffs(n)))
-            assert horner == cheby_u(n, x)
 
 
 class TestQ:

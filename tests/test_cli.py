@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -64,6 +65,30 @@ class TestFuse:
         # ((a.b).a).b = 2*unit + 3*ab + abab; checked against dimensions at
         # N=3: 3**4 = 2*1 + 3*8 + 55
         assert mults == {"": "2", "ab": "3", "abab": "1"}
+
+    @pytest.mark.parametrize("levels", [
+        ["100000000", "100000000"],
+        ["--N", "3", str(2**64), str(2**64)],
+        [str(2**20), str(2**20)],  # 2**20 + 1 summands, one past the cap
+        [str(2**60), str(2**20), "0"],
+    ])
+    def test_orth_product_past_the_summand_cap_exits_at_once(self, capsys, levels):
+        # the fold used to build every summand first: 10**8 + 1 of them here
+        start = time.perf_counter()
+        code = cli.main(["fuse", "--group", "o", *levels])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (4, "")
+        assert captured.err == "freeqg: resource error: the product has more than 1048576 summands\n"
+        assert elapsed < 1.0
+
+    def test_levels_are_checked_before_the_summand_count(self, capsys):
+        assert run(capsys, "fuse", "--group", "o", "--", "100000000", "100000000", "-1")[0] == 3
+
+    def test_orth_product_of_huge_levels_under_the_cap(self, capsys):
+        code, record = run_json(capsys, "fuse", "--group", "o", str(10**30), "3")
+        assert code == 0
+        assert [row["label"] for row in record["rows"]] == [str(10**30 + d) for d in (-3, -1, 1, 3)]
 
 
 class TestDims:
@@ -435,6 +460,75 @@ class TestFormatsAndErrors:
         assert first == second
         record = json.loads(first)
         assert list(record) == sorted(record)
+
+
+# Tokens for the exit-code contract guard: values that are out of range, not
+# numbers, too large for a double or an int's digits, and labels that are
+# malformed, long or huge.
+NUMBERS = ["nan", "inf", "-inf", "-1", "0", "1e308", str(2**64), str(2**1024), "", "x"]
+NOT_INTS = ["nan", "inf", "-inf", "1e308", "", "x"]
+LEVELS = ["0", "1", "2", "7", str(10**8), str(2**64), str(2**1024)]
+WORDS = ["", "a", "ab", "ba", "aab", "c", "aAb", "a b", "a" * 30000, "ab" * 300]
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv for one of the five commands, its values drawn from the token pools.
+
+    A value comes from its option's valid pool, or one time in six from the
+    bad one, so that many requests get past the parser.
+    """
+    def pick(valid, bad=NUMBERS):
+        return draw(st.sampled_from(draw(st.sampled_from([valid] * 5 + [bad]))))
+
+    def option(name, valid, bad=NUMBERS, required=False):
+        return [name, pick(valid, bad)] if required or draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(["fuse", "dims", "coeffs", "certify", "verify"]))
+    argv = [command, *option("--format", ["jsonl", "csv"], ["x"])]
+    if command == "verify":
+        # the sizes stay small or do not parse: the suites have no work cap
+        argv.append(pick(sorted(verify.SUITES), ["x"]))
+        for name in ("--max-len", "--max-label", "--grid", "--samples", "--subdivisions"):
+            argv += option(name, ["1", "2", "3"], ["-1", "0", *NOT_INTS], required=True)
+        return argv + option("--seed", ["0", "7"]) + option("--N", ["3", "4"])
+    group = pick(["o", "u"], ["x"])
+    argv += ["--group", group]
+    if command in ("fuse", "dims"):
+        argv += option("--N", ["2", "3", "4"], required=command == "dims")
+        labels = LEVELS if group == "o" else WORDS
+        return [*argv, "--", *(pick(labels) for _ in range(draw(st.integers(1, 3))))]
+    argv += ["--t", pick(["2.5", "2.9", "3"]), "--N", pick(["3", "4"]), *option("--t0", ["2.6"])]
+    if command == "coeffs":
+        return argv + ["--m", pick(["0", "3", "10"]), *option("--entry-cap", ["100"])]
+    return argv + ["--eps", pick(["1e-6"]), *option("--D", ["1.5"], required=group == "o"),
+                   *option("--R", ["1.5"], required=group == "u")]
+
+
+def failures_in(out: str) -> int:
+    if out.startswith("{"):
+        return sum(row["failures"] for row in json.loads(out)["rows"])
+    return sum(int(row["failures"]) for row in csv.DictReader(io.StringIO(out)))
+
+
+class TestExitCodeContract:
+    """Every argv ends in exit 0-4 within a bounded time, never in a traceback."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(cli_argvs())
+    def test_every_argv_keeps_the_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        elapsed = time.perf_counter() - start
+        assert code in (0, 1, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert failures_in(out.getvalue()) > 0
+        if code >= 2:
+            assert out.getvalue() == ""
+        assert elapsed < 2.0
 
 
 # One request per command and group, with and without the dimension column.

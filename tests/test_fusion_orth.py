@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freeqg import (
+    DomainError,
     catalan,
     char_moment_orth,
     dim_check_fusion,
@@ -12,6 +13,7 @@ from freeqg import (
     fuse_orth,
     fuse_orth_many,
 )
+from freeqg._util import as_nonneg_int
 
 labels = st.integers(min_value=0, max_value=12)
 
@@ -36,6 +38,27 @@ def tensor_expand(seq, rng):
                 total[key] = total.get(key, 0) + mult
         return total
     return {seq[0]: 1}
+
+
+def reference_fuse_orth_many(labels):
+    # fuse_orth_many as it was before it shared its fold with fuse_unitary_many
+    acc = {0: 1}
+    for s in labels:
+        s = as_nonneg_int(s, "label")
+        nxt = {}
+        for a, mult in acc.items():
+            for b in fuse_orth(a, s):
+                nxt[b] = nxt.get(b, 0) + mult
+        acc = nxt
+    return dict(sorted(acc.items()))
+
+
+def summand_count(levels):
+    # the number of distinct levels in the product, as the fuse command counts
+    # them before fusing: low, low + 2, ..., total
+    total = sum(levels)
+    low = max(2 * max(levels, default=0) - total, total % 2)
+    return (total - low) // 2 + 1
 
 
 class TestFuseOrth:
@@ -77,6 +100,27 @@ class TestFuseOrthMany:
             seq = [rng.randint(0, 4) for _ in range(rng.randint(1, 6))]
             expected = dict(sorted(tensor_expand(seq, rng).items()))
             assert fuse_orth_many(seq) == expected
+
+    @settings(max_examples=300)
+    @given(st.lists(labels, max_size=6), st.booleans())
+    def test_matches_reference_fold(self, seq, as_iterator):
+        expected = reference_fuse_orth_many(seq)
+        result = fuse_orth_many(iter(seq) if as_iterator else seq)
+        assert list(result.items()) == list(expected.items())
+
+    @pytest.mark.parametrize("bad", [-1, 2.5, "3"])
+    def test_bad_label_is_domain_error(self, bad):
+        for seq in ([bad], [1, bad], [bad, 2, 3]):
+            with pytest.raises(DomainError, match="label"):
+                fuse_orth_many(seq)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.integers(min_value=0, max_value=30), max_size=6))
+    def test_summand_count_formula(self, seq):
+        assert summand_count(seq) == len(fuse_orth_many(seq))
+        # no fold along the way holds more terms than the final product
+        for k in range(len(seq)):
+            assert len(fuse_orth_many(seq[:k])) <= summand_count(seq)
 
     @given(labels, labels, labels)
     def test_associativity(self, a, b, c):

@@ -24,7 +24,9 @@ from freeqg import (
     cheby_u,
     choose_truncation,
     coeff_ratio,
+    coeff_ratios,
     decay_constant,
+    dim_orth,
     dim_unitary,
     involution,
     k_a,
@@ -604,6 +606,12 @@ class TestTruncatedCoeffs:
         assert MultiplierCoeffs("u", {}, t=2.5, N=3).entries == {}
 
 
+def reference_orth_weights(t, m, N):
+    # the orthogonal weights as they were computed before both groups read
+    # them off truncated_coeffs: straight from the ratio table
+    return [(n, ratio * float(dim_orth(n, N))) for n, ratio in enumerate(coeff_ratios(m, t, N))]
+
+
 class TestApproxIdentityWeights:
     def test_orth_level_one(self):
         for t in (2.5, 2.75):
@@ -634,9 +642,19 @@ class TestApproxIdentityWeights:
                 ]
                 assert approx_identity_weights("u", t, m, N) == expected
 
+    @pytest.mark.parametrize("t, N", [(2.5, 3), (2.71, 4), (5.9, 6)])
+    def test_orth_weights_match_the_ratio_expression(self, t, N):
+        for m in range(61):
+            assert approx_identity_weights("o", t, m, N) == reference_orth_weights(t, m, N)
+
     def test_unit_entry_cap(self):
         with pytest.raises(ResourceCapError):
             approx_identity_weights("u", 2.5, 12, 3, entry_cap=100)
+
+    @pytest.mark.parametrize("group", ["o", "u"])
+    def test_negative_entry_cap_is_domain_error(self, group):
+        with pytest.raises(DomainError, match="entry_cap"):
+            approx_identity_weights(group, 2.5, 1, 3, entry_cap=-1)
 
     def test_rejects_endpoint(self):
         with pytest.raises(DomainError):
@@ -669,10 +687,19 @@ class TestApproxIdentityWeights:
 class TestGroup:
     def test_coercion(self):
         assert Group.coerce("o") is Group.ORTH
-        assert Group.coerce("unitary") is Group.UNIT
+        assert Group.coerce("u") is Group.UNIT
         assert Group.coerce(Group.ORTH) is Group.ORTH
+        assert Group.coerce(Group.UNIT) is Group.UNIT
         with pytest.raises(DomainError):
             Group.coerce("x")
+
+    @pytest.mark.parametrize("value", [
+        "orth", "orthogonal", "unit", "unitary", " O ", "U", "", None, 0, ["o"],
+    ])
+    def test_rejects_other_spellings(self, value):
+        with pytest.raises(DomainError) as info:
+            Group.coerce(value)
+        assert str(info.value) == f"unknown group {value!r}; expected 'o' or 'u'"
 
     def test_trivial_labels(self):
         assert Group.ORTH.trivial_label == 0
