@@ -14,10 +14,10 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import math
 import re
 import sys
+from itertools import chain, islice, repeat, starmap
 
 from ._util import as_int, as_nonneg_int
 from .chebyshev import DEFAULT_T0, decay_constant, dim_orth
@@ -60,7 +60,8 @@ def _json_token(value) -> str:
     if isinstance(value, str):
         return _json_string(value)
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_cells(value, "jsonl")) + "]"
+        slot, cells = _cells(value, "jsonl")
+        return "[" + ",".join(cells if slot == "%s" else map(slot.__mod__, cells)) + "]"
     if isinstance(value, dict):
         items = sorted(value.items(), key=lambda kv: str(kv[0]))
         return "{" + ",".join(f"{_json_string(str(k))}:{_json_token(v)}" for k, v in items) + "}"
@@ -84,52 +85,88 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _cells(column: list, fmt: str):
-    """One column's cells in fmt, as _json_token or _csv_cell writes each value.
+class Runs(tuple):
+    """A column given as ``(value, count)`` runs: ``value`` on the next ``count >= 1`` rows."""
 
-    Exact floats that repeat are formatted once per distinct value, unless
-    a zero is among them (0.0 == -0.0 prints two ways); exact ints and
-    escape-free strings skip the per-value dispatch.  A JSON list's items
-    are written as one column too.
+
+def _cells(column, fmt: str):
+    """``(slot, cells)``: one column's cells in fmt, as _json_token or _csv_cell writes each value.
+
+    ``slot`` holds one cell in a row template: ``'"%s"'`` for JSON strings
+    that need no escape, None for CSV cells that csv.writer may quote, else
+    ``"%s"``.  Exact floats that repeat are formatted once per distinct
+    value, unless a zero is among them (0.0 == -0.0 prints two ways); exact
+    ints and plain strings skip the per-value dispatch.  A :class:`Runs`
+    column's cells are Runs of ``(text, count)``.
     """
     kinds = set(map(type, column))
     if kinds == {float}:
         text = "%.15g".__mod__  # format(value, ".15g"), without a Python call per value
         distinct = set(column)
         if 0.0 in distinct or len(distinct) == len(column):
-            return map(text, column)
-        return map(dict(zip(distinct, map(text, distinct))).__getitem__, column)
+            return "%s", map(text, column)
+        return "%s", map(dict(zip(distinct, map(text, distinct))).__getitem__, column)
     if kinds == {int}:
-        return map(str, column)
+        return "%s", map(str, column)
+    if kinds == {str} and not _NEEDS_ESCAPE.search(joined := "".join(column)):
+        # what csv.writer may quote (, " \r \n) or refuse (NUL, on 3.10) is "," or a JSON escape
+        if fmt == "jsonl" or "," not in joined:
+            return ('"%s"' if fmt == "jsonl" else "%s"), column
+    if isinstance(column, Runs):
+        slot, texts = _cells([value for value, _ in column], fmt)
+        return slot, Runs(zip(texts, (count for _, count in column)))
     if fmt == "csv":
-        return column if kinds == {str} else map(_csv_cell, column)
-    if kinds == {str} and not _NEEDS_ESCAPE.search("".join(column)):
-        return map('"%s"'.__mod__, column)
-    return map(_json_token, column)
+        return None, column if kinds == {str} else map(_csv_cell, column)
+    return "%s", map(_json_token, column)
 
 
 def _emit(record: dict, fmt: str, stream) -> None:
     """Write a record ``{"command", "params", "columns"}`` as one JSON line or a CSV table.
 
-    ``columns`` maps each key to a list, all of one length >= 1.  The keys
-    are sorted once and each column's cells built once by :func:`_cells`;
-    both writers zip the cells into rows.  A JSON row fills one ``%s``
-    template of the quoted keys, in ``{"command":…,"params":…,"rows":[…]}``.
+    ``columns`` maps each key to a list, all of one length >= 1; one key may
+    map to :class:`Runs` over as many rows instead.  Each column's cells are
+    built once by :func:`_cells`.  Without runs, the rows fill one ``%``
+    template.  With runs, each run's rows are one join of the template's
+    literal pieces, the run's cell among them, and the other cells, and go
+    to ``stream.write`` as one chunk.  A JSON row is ``{"key":…}`` in
+    ``{"command":…,"params":…,"rows":[…]}``.  csv.writer writes the CSV
+    header, and the rows too if a cell may need quoting or there is one
+    column (it quotes a lone "").
     """
     columns = record["columns"]
     keys = sorted(columns)
-    rows = zip(*(_cells(columns[key], fmt) for key in keys))
+    slots, cells = [], []
+    for key in keys:  # a JSON slot carries its key, %-escaped
+        slot, column = _cells(columns[key], fmt)
+        slots.append(slot if fmt == "csv" else _json_string(key).replace("%", "%%") + ":" + slot)
+        cells.append(column)
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(keys)
-        writer.writerows(rows)
-        stream.write(buf.getvalue())
+        wrap, lead, sep, tail = "%s\n", "", "", ""
     else:
-        template = "{" + ",".join(_json_string(k).replace("%", "%%") + ":%s" for k in keys) + "}"
-        stream.write('{"command":' + _json_token(record["command"])
-                     + ',"params":' + _json_token(record["params"])
-                     + ',"rows":[' + ",".join(map(template.__mod__, rows)) + "]}\n")
+        wrap, sep, tail = "{%s}", ",", "]}\n"
+        lead = ('{"command":' + _json_token(record["command"])
+                + ',"params":' + _json_token(record["params"]) + ',"rows":[')
+    kinds = list(map(type, cells))
+    if fmt == "csv" and (None in slots or len(keys) == 1):
+        writer.writerows(zip(*(chain.from_iterable(starmap(repeat, column))
+                               if kind is Runs else column for kind, column in zip(kinds, cells))))
+    elif Runs not in kinds:
+        stream.write(lead + sep.join(map((wrap % ",".join(slots)).__mod__, zip(*cells))) + tail)
+    else:
+        # the template split at a "\0" put in each slot; no key holds one (JSON escapes it)
+        at = kinds.index(Runs)
+        pieces = (wrap % ",".join(slots) % (("\0",) * len(slots))).split("\0")
+        runs, cells = cells.pop(at), list(map(iter, cells))
+        for text, n in runs:
+            head, *rest = pieces[:at] + [pieces[at] + text + pieces[at + 1]] + pieces[at + 2:]
+            parts = [chain((lead + head,), repeat(sep + head))]
+            for column, piece in zip(cells, rest):
+                parts += (column, repeat(piece))
+            stream.write("".join(chain.from_iterable(islice(zip(*parts), n))))
+            lead = sep
+        stream.write(tail)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +253,9 @@ def cmd_coeffs(args) -> tuple[dict, int]:
     maxima = table.level_maxima()
     entries = table.entries
     columns = {
-        "label": list(map(str, entries)),
-        "level": list(entries) if group is Group.ORTH else list(map(len, entries)),
+        "label": list(map(str, entries)) if group is Group.ORTH else list(entries),
+        "level": (list(entries) if group is Group.ORTH
+                  else Runs((n, 2**n) for n in range(args.m + 1))),
         "coeff": list(entries.values()),
     }
     params = {

@@ -109,18 +109,20 @@ class MultiplierCoeffs:
         else:
             entries = dict(self.entries)
             object.__setattr__(self, "r", _net(t, N)[0])
-            # word_parse's rule over the joined labels; the bad label is looked up only to name it
+            # word_parse's rule over the joined labels (ALPHABET), at C speed: a non-ASCII
+            # character encodes to "?".  The bad label is looked up only to name it.
             try:
-                stray = "".join(entries).strip(ALPHABET)
+                stray = "".join(entries).encode("ascii", "replace").translate(None, b"ab")
             except TypeError:  # a label that is not a str
                 stray = True
             if stray:
                 bad = next(w for w in entries if not isinstance(w, str) or w.strip(ALPHABET))
                 raise DomainError(f"unitary labels must be words over 'a'/'b', got {bad!r}")
-        # min and max skip a NaN that is not first; the walk only names the first bad label
+        # min and max skip a NaN that is not first; once they pass, the sum is NaN just when a
+        # value is (the rest lie in (0, 1 + BOUND_SLACK]).  The walk only names the first bad label.
         values = entries.values()
         low, high = min(values, default=1.0), max(values, default=1.0)
-        if not 0.0 < low <= high <= 1.0 + BOUND_SLACK or any(map(math.isnan, values)):
+        if not 0.0 < low <= high <= 1.0 + BOUND_SLACK or math.isnan(sum(values)):
             bad = next(k for k, v in entries.items() if not 0.0 < v <= 1.0 + BOUND_SLACK)
             raise DomainError(f"coefficient at {bad!r} is {entries[bad]}, outside (0, 1]")
         trivial = entries.get(self.group.trivial_label)

@@ -106,9 +106,8 @@ def spectrum_interval(algebra: str, N) -> tuple[float, float]:
     algebra it is [-N, N].  ``algebra`` is ``"reduced"`` or ``"full"``.
     """
     N = as_int(N, "N", 2)
-    key = str(algebra).strip().lower()
-    if key == "reduced":
+    if algebra == "reduced":
         return (-2.0, 2.0)
-    if key == "full":
+    if algebra == "full":
         return (-float(N), float(N))
     raise DomainError(f"algebra must be 'reduced' or 'full', got {algebra!r}")

@@ -188,6 +188,11 @@ class TestCoeffs:
          "5142e08c00fcfad9794804c140a1065be6b8f24c59efe7f121b55151c368f1f4"),
         ("--group o --t 2.9 --N 3 --m 728 --format csv",
          "d01991c07e350837eb3ac26e7b24b3b4354b9bd5fe2db5b7e89479c8867c1c1f"),
+        # recorded before the writers took the unitary levels as runs
+        ("--group u --t 2.7 --N 4 --m 14",
+         "50d6517b0021067fd75975a483661cdb06db60cd26fa4bdaef166587ca715d80"),
+        ("--group u --t 2.7 --N 4 --m 14 --format csv",
+         "6923d3afd54e713dfd366f64f23339e8b183d39409901a1b5cb7d4c88bc79f92"),
     ])
     def test_stdout_bytes_pinned(self, capsys, argv, digest):
         code, out = run(capsys, "coeffs", *argv.split())
@@ -855,7 +860,7 @@ def reference_csv(keys, rows) -> str:
     return buf.getvalue()
 
 
-keys_text = st.text(alphabet=st.sampled_from('ab%"\\,\n\x00é')) | texts
+keys_text = st.text(alphabet=st.sampled_from('ab%"\\,\r\n\x00é')) | texts
 column_kinds = {
     "float": st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
     "int": st.integers() | st.integers(min_value=10**30),
@@ -867,16 +872,34 @@ column_kinds = {
 
 @st.composite
 def column_records(draw):
-    """Records whose columns share one length; each column of one kind, or mixed."""
-    keys = draw(st.lists(keys_text, min_size=1, max_size=4, unique=True))
+    """Records whose columns share one length; each column of one kind, or mixed.
+
+    Some records give one more column as runs, possibly their only column.
+    """
+    runs = draw(st.booleans())
+    keys = draw(st.lists(keys_text, min_size=1 - runs, max_size=4, unique=True))
     length = draw(st.integers(1, 6))
     columns = {
         key: draw(st.lists(column_kinds[draw(st.sampled_from(sorted(column_kinds)))],
                            min_size=length, max_size=length))
         for key in keys
     }
+    if runs:
+        cuts = sorted(draw(st.sets(st.integers(1, length - 1))) if length > 1 else ())
+        counts = [end - start for start, end in zip([0, *cuts], [*cuts, length])]
+        values = draw(st.lists(column_kinds[draw(st.sampled_from(sorted(column_kinds)))],
+                               min_size=len(counts), max_size=len(counts)))
+        columns[draw(keys_text.filter(lambda key: key not in columns))] = cli.Runs(
+            zip(values, counts))
     params = draw(st.dictionaries(texts, scalars, max_size=3))
     return {"command": draw(texts), "params": params, "columns": columns}
+
+
+def expanded(column):
+    """A column's values, one per row, with any runs expanded."""
+    if isinstance(column, cli.Runs):
+        return [value for value, count in column for _ in range(count)]
+    return column
 
 
 class TestColumnWriter:
@@ -885,7 +908,8 @@ class TestColumnWriter:
     @staticmethod
     def check(record):
         keys = sorted(record["columns"])
-        rows = [dict(zip(keys, values)) for values in zip(*(record["columns"][k] for k in keys))]
+        rows = [dict(zip(keys, values))
+                for values in zip(*(expanded(record["columns"][k]) for k in keys))]
         out = io.StringIO()
         cli._emit(record, "jsonl", out)
         assert out.getvalue() == (
@@ -913,6 +937,19 @@ class TestColumnWriter:
         {"%s": ["1"], 'k"': ["2"], "k\\": ["3"], "%%": ["4"]},
         {"k": [""]},
         {"k": ["", ""], "j": ["x", ""]},
+        # cells and keys that csv.writer quotes, and the lone empty cell it quotes
+        {"x": ["a,b", 'c"d', "e\rf", "g\nh", "plain"], "y": [1, 2, 3, 4, 5]},
+        {"x": ["a,b", "c"], "y": [1, 2]},
+        {",": ["1"], '"': ["2"], "\r": ["3"], "\n": ["4"], "k": ["5"]},
+        {",": [1.5], "y": [2]},
+        # runs: a run value that needs escaping or quoting, or holds %, and a run column alone
+        {"level": cli.Runs([(0, 1), (1, 2), (2, 4)]), "label": ["", "a", "b", "aa", "ab", "ba", "bb"]},
+        {"k": cli.Runs([("a,b", 2), ('"', 1)]), "j": [1, 2, 3]},
+        {"k": cli.Runs([("a", 1), ("b,c", 1)]), "j": [1, 2]},
+        {"%s": cli.Runs([("%", 1), ("%%s", 2)]), "%": [0.5, -0.0, 0.5], "\\": ["\x00", "", "x"]},
+        {"k": cli.Runs([(0.5, 2), (-0.0, 1), (math.nan, 1)]), ",": ["a", "b", "c", "d"]},
+        {"k": cli.Runs([("", 2)])},
+        {"k": cli.Runs([("x", 1), (7, 2)])},
     ])
     def test_examples(self, columns):
         self.check({"command": "coeffs", "params": {"t": 2.5}, "columns": columns})

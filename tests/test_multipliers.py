@@ -561,7 +561,12 @@ class TestTruncatedCoeffs:
         ({"ab" * 50 + "c" + "ab": 0.5}, "ab" * 50 + "c" + "ab"),
         ({"a": 0.5, "bä": 0.5}, "bä"),
         ({**{w: 0.5 for w in list(all_words(9))[1:1001]}, 7: 0.5}, 7),
-    ], ids=["bad-letter-in-long-label", "non-ascii-letter", "non-str-among-1000-words"])
+        ({"a": 0.5, "\uff41b": 0.5}, "\uff41b"),
+        ({"a": 0.5, "b\x00": 0.5, "ab": 0.5}, "b\x00"),
+        ({"a": 0.5, "a\ud800": 0.5}, "a\ud800"),
+        ({"a": 0.5, b"ab": 0.5}, b"ab"),
+    ], ids=["bad-letter-in-long-label", "non-ascii-letter", "non-str-among-1000-words",
+            "fullwidth-letter", "nul", "lone-surrogate", "bytes-label"])
     def test_bad_unitary_label_is_named(self, entries, bad):
         with pytest.raises(DomainError) as info:
             MultiplierCoeffs("u", entries, t=2.5, N=3)
@@ -590,9 +595,13 @@ class TestTruncatedCoeffs:
         ("o", {**valid_levels(10), 10: np.float64(1.5), 11: 0.5}, 10),
         ("o", {0: 1.0, 7: math.nan, 3: 0.0, 5: 0.5}, 7),
         ("o", {0: 1.0, 9: 2.0, 4: math.nan, 5: 0.5}, 9),
+        ("o", {0: math.nan, **{n: 0.5 for n in range(1, 1000)}}, 0),
+        ("o", {**valid_levels(1000), 1000: math.nan}, 1000),
+        ("u", {"ab" * 5: math.nan} | {w: 0.5 for w in list(all_words(9))[1:1001]}, "ab" * 5),
+        ("u", {w: 0.5 for w in list(all_words(9))[1:1001]} | {"ab" * 5: math.nan}, "ab" * 5),
     ], ids=["nan-among-1000", "np-nan-among-1000", "nan-word", "minus-zero", "zero-last",
             "above-slack", "fraction-zero", "np-float64-above-1", "nan-before-zero",
-            "above-1-before-nan"])
+            "above-1-before-nan", "nan-first", "nan-last", "nan-first-word", "nan-last-word"])
     def test_out_of_range_value_is_named(self, group, entries, bad):
         # min and max skip a NaN that is not first; the first bad label in
         # insertion order is the one named

@@ -126,3 +126,6 @@ class TestSpectrumInterval:
             spectrum_interval("reduced", 1)
         with pytest.raises(DomainError):
             spectrum_interval("banach", 3)
+        for spelling in ("Reduced", " full", "FULL", "reduced\n"):
+            with pytest.raises(DomainError, match="algebra must be"):
+                spectrum_interval(spelling, 3)
