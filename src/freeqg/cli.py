@@ -17,7 +17,7 @@ import functools
 import math
 import re
 import sys
-from itertools import chain, islice, repeat, starmap
+from itertools import chain, groupby, islice, repeat, starmap
 
 from ._util import as_int, as_nonneg_int
 from .chebyshev import DEFAULT_T0, decay_constant, dim_orth
@@ -125,10 +125,10 @@ def _emit(record: dict, fmt: str, stream) -> None:
 
     ``columns`` maps each key to a list, all of one length >= 1; one key may
     map to :class:`Runs` over as many rows instead.  Each column's cells are
-    built once by :func:`_cells`.  Without runs, the rows fill one ``%``
-    template.  With runs, each run's rows are one join of the template's
-    literal pieces, the run's cell among them, and the other cells, and go
-    to ``stream.write`` as one chunk.  A JSON row is ``{"key":…}`` in
+    built once by :func:`_cells`.  A run's rows are one join of the row
+    template's literal pieces, the run's cell among them, and the other
+    cells, and go to ``stream.write`` as one chunk; a record without runs is
+    one run.  A JSON row is ``{"key":…}`` in
     ``{"command":…,"params":…,"rows":[…]}``.  csv.writer writes the CSV
     header, and the rows too if a cell may need quoting or there is one
     column (it quotes a lone "").
@@ -152,21 +152,23 @@ def _emit(record: dict, fmt: str, stream) -> None:
     if fmt == "csv" and (None in slots or len(keys) == 1):
         writer.writerows(zip(*(chain.from_iterable(starmap(repeat, column))
                                if kind is Runs else column for kind, column in zip(kinds, cells))))
-    elif Runs not in kinds:
-        stream.write(lead + sep.join(map((wrap % ",".join(slots)).__mod__, zip(*cells))) + tail)
-    else:
-        # the template split at a "\0" put in each slot; no key holds one (JSON escapes it)
+        return
+    # the template split at a "\0" put in each slot; no key holds one (JSON escapes it)
+    pieces = (wrap % ",".join(slots) % (("\0",) * len(slots))).split("\0")
+    if Runs in kinds:
         at = kinds.index(Runs)
-        pieces = (wrap % ",".join(slots) % (("\0",) * len(slots))).split("\0")
-        runs, cells = cells.pop(at), list(map(iter, cells))
-        for text, n in runs:
-            head, *rest = pieces[:at] + [pieces[at] + text + pieces[at + 1]] + pieces[at + 2:]
-            parts = [chain((lead + head,), repeat(sep + head))]
-            for column, piece in zip(cells, rest):
-                parts += (column, repeat(piece))
-            stream.write("".join(chain.from_iterable(islice(zip(*parts), n))))
-            lead = sep
-        stream.write(tail)
+        runs = cells.pop(at)
+    else:  # one run of every row, its empty cell in an empty slot before the first
+        at, runs, pieces = 0, [("", len(columns[keys[0]]))], ["", *pieces]
+    cells = list(map(iter, cells))
+    for text, n in runs:
+        head, *rest = pieces[:at] + [pieces[at] + text + pieces[at + 1]] + pieces[at + 2:]
+        parts = [chain((lead + head,), repeat(sep + head))]
+        for column, piece in zip(cells, rest):
+            parts += (column, repeat(piece))
+        stream.write("".join(chain.from_iterable(islice(zip(*parts), n))))
+        lead = sep
+    stream.write(tail)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +257,7 @@ def cmd_coeffs(args) -> tuple[dict, int]:
     columns = {
         "label": list(map(str, entries)) if group is Group.ORTH else list(entries),
         "level": (list(entries) if group is Group.ORTH
-                  else Runs((n, 2**n) for n in range(args.m + 1))),
+                  else Runs((n, len(list(run))) for n, run in groupby(map(len, entries)))),
         "coeff": list(entries.values()),
     }
     params = {

@@ -122,7 +122,11 @@ class MultiplierCoeffs:
         # value is (the rest lie in (0, 1 + BOUND_SLACK]).  The walk only names the first bad label.
         values = entries.values()
         low, high = min(values, default=1.0), max(values, default=1.0)
-        if not 0.0 < low <= high <= 1.0 + BOUND_SLACK or math.isnan(sum(values)):
+        try:
+            nan = math.isnan(sum(values))
+        except TypeError:  # a Decimal does not add to a float or a Fraction
+            nan = any(map(math.isnan, values))
+        if not 0.0 < low <= high <= 1.0 + BOUND_SLACK or nan:
             bad = next(k for k, v in entries.items() if not 0.0 < v <= 1.0 + BOUND_SLACK)
             raise DomainError(f"coefficient at {bad!r} is {entries[bad]}, outside (0, 1]")
         trivial = entries.get(self.group.trivial_label)

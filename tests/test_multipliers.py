@@ -599,9 +599,12 @@ class TestTruncatedCoeffs:
         ("o", {**valid_levels(1000), 1000: math.nan}, 1000),
         ("u", {"ab" * 5: math.nan} | {w: 0.5 for w in list(all_words(9))[1:1001]}, "ab" * 5),
         ("u", {w: 0.5 for w in list(all_words(9))[1:1001]} | {"ab" * 5: math.nan}, "ab" * 5),
+        ("o", {0: 1.0, 1: math.nan, 2: Decimal("0.5"), 3: Fraction(1, 4)}, 1),
+        ("o", {0: 1.0, 1: Decimal("0.5"), 2: 1.5, 3: 0.25}, 2),
     ], ids=["nan-among-1000", "np-nan-among-1000", "nan-word", "minus-zero", "zero-last",
             "above-slack", "fraction-zero", "np-float64-above-1", "nan-before-zero",
-            "above-1-before-nan", "nan-first", "nan-last", "nan-first-word", "nan-last-word"])
+            "above-1-before-nan", "nan-first", "nan-last", "nan-first-word", "nan-last-word",
+            "nan-beside-decimal", "above-1-beside-decimal"])
     def test_out_of_range_value_is_named(self, group, entries, bad):
         # min and max skip a NaN that is not first; the first bad label in
         # insertion order is the one named
@@ -613,6 +616,9 @@ class TestTruncatedCoeffs:
         entries = {0: 1.0, 1: 1.0 + 1e-12, 2: 5e-324, 3: Fraction(1, 2), 4: np.float64(0.25)}
         assert MultiplierCoeffs("o", entries, t=2.5, N=3).entries == entries
         assert MultiplierCoeffs("u", {}, t=2.5, N=3).entries == {}
+        # a Decimal does not add to a float or a Fraction, but is still a value in range
+        entries = {0: 1.0, 1: Decimal("0.5"), 2: Fraction(1, 3), 3: np.float64(0.25)}
+        assert MultiplierCoeffs("o", entries, t=2.5, N=3).entries == entries
 
 
 def reference_orth_weights(t, m, N):
