@@ -68,9 +68,10 @@ def _json_token(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-#: The JSON escape of each character that needs one, and a regex that finds them.
+#: The JSON escape of each character that needs one, a regex that finds them, and their bytes.
 _ESCAPES = {chr(i): f"\\u{i:04x}" for i in range(0x20)} | {'"': '\\"', "\\": "\\\\"}
 _NEEDS_ESCAPE = re.compile("[" + re.escape("".join(_ESCAPES)) + "]")
+_ESCAPE_BYTES = "".join(_ESCAPES).encode("ascii")
 
 
 def _json_string(s: str) -> str:
@@ -108,10 +109,11 @@ def _cells(column, fmt: str):
         return "%s", map(dict(zip(distinct, map(text, distinct))).__getitem__, column)
     if kinds == {int}:
         return "%s", map(str, column)
-    if kinds == {str} and not _NEEDS_ESCAPE.search(joined := "".join(column)):
-        # what csv.writer may quote (, " \r \n) or refuse (NUL, on 3.10) is "," or a JSON escape
-        if fmt == "jsonl" or "," not in joined:
-            return ('"%s"' if fmt == "jsonl" else "%s"), column
+    # no JSON escape if deleting _ESCAPE_BYTES keeps the length (non-ASCII encodes to "?"); what
+    # csv.writer may quote (, " \r \n) or refuse (NUL, on 3.10) is "," or a JSON escape
+    if kinds == {str} and len((joined := "".join(column)).encode("ascii", "replace").translate(
+            None, _ESCAPE_BYTES)) == len(joined) and (fmt == "jsonl" or "," not in joined):
+        return ('"%s"' if fmt == "jsonl" else "%s"), column
     if isinstance(column, Runs):
         slot, texts = _cells([value for value, _ in column], fmt)
         return slot, Runs(zip(texts, (count for _, count in column)))

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, product
+from itertools import accumulate, chain, product
 from os.path import commonprefix
 
 from ._util import as_int, as_nonneg_int
@@ -62,8 +62,9 @@ def words_of_length(n: int):
 
 def all_words(max_len: int):
     """All words of length <= max_len, ordered by (length, lexicographic)."""
-    max_len = as_nonneg_int(max_len, "max_len")
-    return chain.from_iterable(words_of_length(n) for n in range(max_len + 1))
+    levels = accumulate(range(as_nonneg_int(max_len, "max_len")), initial=[""],
+                        func=lambda level, _: [w + c for w in level for c in ALPHABET])
+    return chain.from_iterable(levels)
 
 
 def fuse_unitary(g: str, h: str) -> dict[str, int]:

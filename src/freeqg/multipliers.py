@@ -25,8 +25,10 @@ from __future__ import annotations
 import enum
 import math
 import sys
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from types import MappingProxyType
 
 from ._util import as_nonneg_int
@@ -429,20 +431,19 @@ def truncated_coeffs(group, t, m, N, t0=DEFAULT_T0, entry_cap=DEFAULT_ENTRY_CAP)
     their ratios u_k(t)/u_k(N), k <= m, from one
     :func:`~freeqg.chebyshev.coeff_ratios` pass.
 
-    The unitary table validates its arguments once, through one ``r_of`` and
-    that pass, and then walks the word trie level by level in
-    :func:`~freeqg.free_unitary.all_words` order.  The alternating form of
-    ``w + letter`` follows from that of ``w`` in O(1): a repeated letter
-    closes the open run and adds one nonzero sign, otherwise the open run
-    grows.  So no word is parsed.  Each distinct trie state (4,911 for the
-    131,071 words of length <= 16) is interned once as an integer id, with
-    its children's ids and its coefficient; a level is the list of its
-    words' state ids, expanded from the one before.  Each coefficient is ``r**eps_weight`` times the ratios
-    of the sorted blocks, multiplied in the order :func:`a_coeff_from_form`
-    uses, so every entry has the bits of
-    ``a_coeff_from_form(alternating_form(w), t, N, t0)``.  A word and its
-    involution have the same ``(eps_weight, sorted blocks)``, so the table
-    is involution-symmetric bit for bit.
+    A unitary coefficient depends on its word only through the key
+    ``(eps_weight, sorted blocks)`` of the word's alternating form: the 16,383
+    words of length <= 13 have 549 keys.  Which key each word has, in
+    :func:`~freeqg.free_unitary.all_words` order, does not depend on (t, N).
+    That shape is built by one walk of the word trie, where the form of
+    ``w + letter`` follows from that of ``w`` in O(1), and only the deepest
+    one built is kept: 2 bytes per word (an ``array('H')`` of key ids) and
+    the keys, no word strings; a shallower m reads its prefix.  A request
+    checks its arguments once, through one ``r_of`` and the ratio pass, and
+    computes ``r**eps_weight`` times the ratios of the sorted blocks once per
+    key, in the order :func:`a_coeff_from_form` multiplies them.  So every
+    entry has the bits of ``a_coeff_from_form(alternating_form(w), t, N, t0)``,
+    and a word and its involution, which share a key, have equal bits.
     """
     group = Group.coerce(group)
     m = as_nonneg_int(m, "m")
@@ -462,36 +463,46 @@ def truncated_coeffs(group, t, m, N, t0=DEFAULT_T0, entry_cap=DEFAULT_ENTRY_CAP)
 
 def _unitary_entries(m: int, r: float, ratios: list) -> dict:
     """a_t at every word of length <= m, from r(t) and ratios[k] = u_k(t)/u_k(N)."""
-    # The trie state of a word: (leading sign + one per repeated letter,
-    # closed runs sorted, open run, last letter).  Words in one state share
-    # a coefficient and their children share states.  A state's id is its
-    # place in `ids`; kids[i] holds the ids of the children of state i
-    # through 'a' and 'b'.
-    def children(state):
-        weight, closed, run, last = state
-        if last is None:  # the empty word
-            return (1, (), 1, "a"), (0, (), 1, "b")
-        repeat = (weight + 1, tuple(sorted(closed + (run,))), 1, last)
-        grow = (weight, closed, run + 1, "b" if last == "a" else "a")
-        return (repeat, grow) if last == "a" else (grow, repeat)
+    index, keys = _unitary_shape(m)
+    values = [math.prod(map(ratios.__getitem__, b), start=r**e) for e, b in keys]
+    return dict(zip(all_words(m), map(values.__getitem__, index)))
 
-    def value(state):
-        weight, closed, run, last = state
-        value = r ** (weight + (last == "b"))
-        for k in sorted(closed + (run,)) if run else ():
-            value *= ratios[k]
-        return value
 
-    ids = {(0, (), 0, None): 0}
-    level, order, kids = [0], [0], []
-    for _ in range(m):
-        # the states first met on the last level are the ones without children yet
-        kids += [tuple(ids.setdefault(child, len(ids)) for child in children(state))
-                 for state in list(ids)[len(kids):]]
-        level = list(chain.from_iterable(map(kids.__getitem__, level)))
-        order += level
-    values = list(map(value, ids))
-    return dict(zip(all_words(m), map(values.__getitem__, order)))
+_shape = (-1, array("H"), [])  # (m, index, keys) of the deepest unitary table built
+
+
+def _unitary_shape(m: int):
+    """keys[index[i]] is the key (exponent of r, sorted blocks) of the i-th word of length <= m."""
+    global _shape
+    shape = _shape  # read once: a concurrent call may replace the memo
+    if m > shape[0]:
+        # A word's trie state: (leading sign + one per repeated letter, closed runs
+        # sorted, open run, last letter); its children's states follow from it.  A
+        # state's id is its place in `ids`; kids[i] holds those of its children.
+        def children(state):
+            weight, closed, run, last = state
+            if last is None:  # the empty word
+                return (1, (), 1, "a"), (0, (), 1, "b")
+            repeat = (weight + 1, tuple(sorted(closed + (run,))), 1, last)
+            grow = (weight, closed, run + 1, "b" if last == "a" else "a")
+            return (repeat, grow) if last == "a" else (grow, repeat)
+
+        ids = {(0, (), 0, None): 0}
+        level, order, kids = [0], [0], []
+        for _ in range(m):
+            # the states first met on the last level are the ones without children yet
+            kids += [tuple(ids.setdefault(child, len(ids)) for child in children(state))
+                     for state in list(ids)[len(kids):]]
+            level = list(chain.from_iterable(map(kids.__getitem__, level)))
+            order += level
+        keys = {}  # numbered by depth, as the states are: a shallower m reads prefixes
+        key_ids = [keys.setdefault(
+            (weight + (last == "b"), tuple(sorted(closed + (run,))) if run else ()), len(keys))
+            for weight, closed, run, last in ids]
+        index = array("H" if len(keys) <= 1 << 16 else "L", map(key_ids.__getitem__, order))
+        shape = _shape = (m, index, list(keys))
+    _, index, keys = shape
+    return islice(index, 2 ** (m + 1) - 1), keys[: bisect_right(keys, m, key=lambda k: sum(k[1]))]
 
 
 def approx_identity_weights(group, t, m, N, t0=DEFAULT_T0, entry_cap=DEFAULT_ENTRY_CAP):

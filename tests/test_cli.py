@@ -902,6 +902,12 @@ def expanded(column):
     return column
 
 
+# Characters JSON does not escape, non-ASCII ones among them (they encode to "?"), and the 34
+# characters it does escape.
+UNESCAPED = ["\x7f", "\u2028", "\u00e9", "\ud800", "?"]
+ESCAPED = [chr(i) for i in range(0x20)] + ['"', "\\"]
+
+
 class TestColumnWriter:
     """_emit over columns writes what the row writers wrote over the same rows."""
 
@@ -950,6 +956,16 @@ class TestColumnWriter:
         {"k": cli.Runs([(0.5, 2), (-0.0, 1), (math.nan, 1)]), ",": ["a", "b", "c", "d"]},
         {"k": cli.Runs([("", 2)])},
         {"k": cli.Runs([("x", 1), (7, 2)])},
+        # a str column with one character JSON does not escape, or with one it does, alone
+        *({"x": ["ab", "a" + char + "b", char], "y": [1, 2, 3]} for char in UNESCAPED),
+        *({"x": [char], "y": [0]} for char in ESCAPED),
     ])
     def test_examples(self, columns):
         self.check({"command": "coeffs", "params": {"t": 2.5}, "columns": columns})
+
+    @pytest.mark.parametrize("char", UNESCAPED + ESCAPED)
+    def test_only_unescaped_str_columns_take_the_fast_path(self, char):
+        # the fast path puts the column's strings in the row template unchanged
+        fast = '"%s"', "%s"
+        for fmt, slot in zip(("jsonl", "csv"), fast):
+            assert (cli._cells(["ab", char], fmt)[0] == slot) == (char in UNESCAPED)

@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import time
+from array import array
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from freeqg import (
     dim_unitary,
     involution,
     k_a,
+    multipliers,
     q_of,
     r_of,
     tail_bound_orth,
@@ -498,6 +500,61 @@ class TestTruncatedCoeffs:
                     assert list(entries.items()) == reference[: 2 ** (m + 1) - 1], (t, m, N)
                 for w, value in entries.items():
                     assert value == entries[involution(w)]
+
+    @staticmethod
+    def memo_contents():
+        # everything the shape memo holds, through its tuples and lists
+        held, stack = [], [multipliers._shape]
+        while stack:
+            held.append(item := stack.pop())
+            if isinstance(item, (tuple, list)):
+                stack.extend(item)
+        return held
+
+    def test_unit_tables_in_any_depth_order(self, monkeypatch):
+        monkeypatch.setattr(multipliers, "_shape", (-1, array("H"), []))
+        pool = [(2.5, 3), (2.71, 4), (4.0, 4), (2.5, 5), (5.0, 5), (3.3, 8)]
+        for m, (t, N) in zip((12, 0, 5, 14, 3, 12), pool):
+            entries = truncated_coeffs("u", t, m, N).entries
+            reference = reference_unit_table(t, m, N)
+            assert list(entries) == list(reference), (t, m, N)
+            assert list(map(float.hex, entries.values())) == list(
+                map(float.hex, reference.values())), (t, m, N)
+            for w, value in entries.items():
+                assert value.hex() == entries[involution(w)].hex()
+            memo = multipliers._shape
+            for refused in (lambda: truncated_coeffs("u", t, 15, N, entry_cap=2**16 - 2),
+                            lambda: truncated_coeffs("u", 2.4, 15, N)):
+                with pytest.raises((ResourceCapError, DomainError)):
+                    refused()
+                assert multipliers._shape is memo
+            held = self.memo_contents()
+            indexes = [item for item in held if isinstance(item, array)]
+            assert len(indexes) == 1 and indexes[0].itemsize == 2
+            assert len(indexes[0]) == 2 ** (memo[0] + 1) - 1
+            assert not any(isinstance(item, str) for item in held)
+        assert multipliers._shape[0] == 14
+
+    @pytest.mark.parametrize("fresh", [True, False])
+    def test_one_coefficient_per_key(self, monkeypatch, fresh):
+        class CountingList(list):
+            reads = 0
+
+            def __getitem__(self, k):
+                CountingList.reads += 1
+                return super().__getitem__(k)
+
+        if fresh:
+            monkeypatch.setattr(multipliers, "_shape", (-1, array("H"), []))
+        for m in (9, 4, 0, 11):
+            t, N = 2.7, 4
+            forms = map(alternating_form, all_words(m))
+            keys = {(form.eps_weight, tuple(sorted(form.blocks))) for form in forms}
+            CountingList.reads = 0
+            ratios = CountingList(coeff_ratios(m, t, N))
+            entries = multipliers._unitary_entries(m, r_of(t, N), ratios)
+            assert CountingList.reads == sum(len(blocks) for _, blocks in keys), m
+            assert entries == reference_unit_table(t, m, N)
 
     def test_identity_endpoint(self):
         table = truncated_coeffs("u", 3.0, 3, 3)
