@@ -41,10 +41,8 @@ from .free_unitary import (
     fuse_unitary_many,
     involution,
     word_parse,
-    words_of_length,
 )
 from .fusion_orth import (
-    FusionSum,
     catalan,
     char_moment_orth,
     dim_check_fusion,
@@ -86,7 +84,6 @@ __all__ = [
     "DEFAULT_T0",
     "DomainError",
     "FormExpansionError",
-    "FusionSum",
     "Group",
     "MultiplierCoeffs",
     "ResourceCapError",
@@ -129,5 +126,4 @@ __all__ = [
     "truncated_coeffs",
     "ultra_bound",
     "word_parse",
-    "words_of_length",
 ]

@@ -60,9 +60,11 @@ def q_of(t) -> float:
 
 @lru_cache(maxsize=1024)
 def _dim_orth(n: int, N: int) -> int:
-    # u_n(N) by doubling over the bits of n, in O(log n) steps: (u, v) is
-    # (u_j, u_j+1), w = N*u - v is u_j-1, and u_2j = u_j**2 - u_j-1**2,
-    # u_2j+1 = u_j*(u_j+1 - u_j-1), u_2j+2 = u_j+1**2 - u_j**2
+    # u_n(2) = n + 1; else u_n(N) by doubling over the bits of n, in O(log n)
+    # steps: (u, v) is (u_j, u_j+1), w = N*u - v is u_j-1, and
+    # u_2j = u_j**2 - u_j-1**2, u_2j+1 = u_j*(u_j+1 - u_j-1), u_2j+2 = u_j+1**2 - u_j**2
+    if N == 2:
+        return n + 1
     u, v = 1, N  # j = 0
     for bit in bin(n)[2:]:
         w = N * u - v
@@ -73,8 +75,8 @@ def _dim_orth(n: int, N: int) -> int:
 def dim_orth(n, N) -> int:
     """Exact dimension u_n(N) of the level-n orthogonal irreducible.
 
-    Computed by the integer recursion; equals n+1 for N = 2.  Dimensions grow
-    like q(N)**n, so the result is an arbitrary-precision integer.
+    Computed by doubling over the bits of n; equals n+1 for N = 2.  Dimensions
+    grow like q(N)**n, so the result is an arbitrary-precision integer.
     """
     n = as_nonneg_int(n, "n")
     return _dim_orth(n, as_int(N, "N", 2))

@@ -189,41 +189,32 @@ def _decimal_dims(group: Group, labels, N) -> list[str]:
     """The dimensions of the labels at N, as decimal strings.
 
     ``str`` refuses an int of more than ``sys.get_int_max_str_digits()``
-    digits (0 sets no limit), so every label is sized before any dimension
-    is computed, and one past the limit raises ResourceCapError.  A
-    dimension is at most N**length; only a label that may pass the limit
-    is sized from its blocks.
+    digits (0 sets no limit), so a label whose dimension reaches 10**limit
+    raises ResourceCapError before any string is made.  A dimension is at
+    most N**length, so a shorter label passes at once.  One whose lower
+    bound reaches 10**(limit + 1) is refused at once, a digit clear of the
+    bound's rounding: u_k(2) = k + 1, and u_k(N) >= q(N)**k >= (N - 1)**k
+    for N >= 3.  Any other is decided on its exact dimension, which the
+    lru_cache of _dim_orth or _dim_unitary keeps for the output.
     """
     orth = group is Group.ORTH
     limit = sys.get_int_max_str_digits() or math.inf
     N = as_int(N, "N", 2)
+    dim = dim_orth if orth else dim_unitary
     for label in labels:
         length = as_nonneg_int(label, "n") if orth else len(label)
         if length < limit / math.log10(N):
             continue
-        blocks = (length,) if orth else alternating_form(label).blocks
-        if _log10_dim(blocks, N) >= limit:
+        if N > 2:  # int against float: no OverflowError at any length
+            past = length >= (limit + 1) / math.log10(N - 1)
+        else:  # u_k(2) = k + 1
+            blocks = (length,) if orth else alternating_form(label).blocks
+            past = sum(math.log10(k + 1) for k in blocks) >= limit + 1
+        if past or dim(label, N) >= 10**limit:
             name = repr(label) if orth or length <= 40 else f"{label[:20]!r}... of {length} letters"
             raise ResourceCapError(f"the dimension at label {name} for N={N} "
                                    f"has more than {limit} decimal digits")
-    dim = dim_orth if orth else dim_unitary
     return [str(dim(label, N)) for label in labels]
-
-
-def _log10_dim(blocks, N: int) -> float:
-    """log10 of the product of u_k(N) over the blocks k, without the recursion.
-
-    u_k(2) = k + 1, and u_k(N) = q**k * (1 + q**-2 + ... + q**-2k) with
-    q = q(N) for N >= 3.  A level past the range of a double gives inf.
-    """
-    if N == 2:
-        return sum(math.log10(k + 1) for k in blocks)
-    log_q = math.log10(N) + math.log10((1 + math.sqrt(1 - 4 / (N * N))) / 2)
-    r = 10 ** (-2 * log_q)
-    try:
-        return sum(k * log_q + math.log10((1 - r ** (k + 1)) / (1 - r)) for k in blocks)
-    except OverflowError:
-        return math.inf
 
 
 def cmd_fuse(args) -> tuple[dict, int]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain
 from os.path import commonprefix
 
 from ._util import as_int, as_nonneg_int
@@ -52,12 +52,6 @@ def word_parse(text: str) -> str:
 def involution(w: str) -> str:
     """Antimultiplicative involution: reverse the word and swap a <-> b."""
     return word_parse(w)[::-1].translate(_SWAP)
-
-
-def words_of_length(n: int):
-    """All words of exactly length n, in lexicographic order."""
-    n = as_nonneg_int(n, "n")
-    return map("".join, product(ALPHABET, repeat=n))
 
 
 def all_words(max_len: int):

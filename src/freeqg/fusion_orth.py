@@ -16,11 +16,7 @@ from collections.abc import Iterable
 from ._util import as_nonneg_int
 from .chebyshev import dim_orth
 
-#: A direct-sum decomposition: level -> multiplicity, multiplicities >= 1.
-FusionSum = dict[int, int]
-
-
-def fuse_orth(r, s) -> FusionSum:
+def fuse_orth(r, s) -> dict[int, int]:
     """Decompose level r tensor level s.
 
     The summands are r+s-2l for l = 0..min(r, s), each with multiplicity 1;
@@ -31,7 +27,7 @@ def fuse_orth(r, s) -> FusionSum:
     return {label: 1 for label in range(abs(r - s), r + s + 1, 2)}
 
 
-def fuse_orth_many(labels: Iterable[int]) -> FusionSum:
+def fuse_orth_many(labels: Iterable[int]) -> dict[int, int]:
     """Left-to-right decomposition of a tensor word of levels.
 
     Works level-by-level on the multiset of summands, so a k-fold power

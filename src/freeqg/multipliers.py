@@ -69,10 +69,6 @@ class Group(enum.Enum):
         except ValueError:
             raise DomainError(f"unknown group {value!r}; expected 'o' or 'u'") from None
 
-    @property
-    def trivial_label(self):
-        return 0 if self is Group.ORTH else ""
-
 
 @dataclass(frozen=True)
 class MultiplierCoeffs:
@@ -131,7 +127,7 @@ class MultiplierCoeffs:
         if not 0.0 < low <= high <= 1.0 + BOUND_SLACK or nan:
             bad = next(k for k, v in entries.items() if not 0.0 < v <= 1.0 + BOUND_SLACK)
             raise DomainError(f"coefficient at {bad!r} is {entries[bad]}, outside (0, 1]")
-        trivial = entries.get(self.group.trivial_label)
+        trivial = entries.get(0 if self.group is Group.ORTH else "")
         if trivial is not None and trivial != 1.0:
             raise DomainError(f"trivial-label coefficient must be exactly 1, got {trivial}")
         object.__setattr__(self, "entries", MappingProxyType(entries))
@@ -144,11 +140,6 @@ class MultiplierCoeffs:
             if value > out.get(n, 0.0):
                 out[n] = value
         return out
-
-    @property
-    def envelope(self) -> tuple[float, float]:
-        """(C, ratio) of the dominating bound C * ratio**level."""
-        return decay_constant(self.t0), self.t / self.N
 
 
 def r_of(t, N, t0=DEFAULT_T0) -> float:
@@ -253,7 +244,7 @@ def k_a(coeffs: MultiplierCoeffs, from_level=0) -> float:
         if n >= from_level:
             best = max(best, (n + 1) ** 2 * value)
     if not coeffs.truncated:
-        c, ratio = coeffs.envelope
+        c, ratio = decay_constant(coeffs.t0), coeffs.t / coeffs.N
         best = max(best, tail_sup(c, ratio, max(from_level, top + 1)))
     return best
 

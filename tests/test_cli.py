@@ -626,7 +626,7 @@ def first_level_past(limit, N):
 
 
 class TestDimensionDigits:
-    """A dimension too long for ``str`` exits 4 before any recursion runs."""
+    """A dimension too long for ``str`` exits 4, and one that fits prints."""
 
     @pytest.mark.parametrize("N", [3, 4, 8])
     def test_limit_is_tight_for_levels(self, capsys, str_digits_limit, N):
@@ -648,6 +648,35 @@ class TestDimensionDigits:
         code, out = run(capsys, "dims", "--group", "u", "--N", "3", "ab", "a" * k)
         assert (code, out) == (4, "")
 
+    def test_limit_is_exact_for_levels_at_n2(self, capsys, str_digits_limit):
+        # u_n(2) = n + 1: the level 10**limit - 2 has a dimension of exactly limit nines
+        level = 10**str_digits_limit - 2
+        code, record = run_json(capsys, "dims", "--group", "o", "--N", "2", str(level))
+        assert code == 0
+        assert record["rows"][0]["dimension"] == "9" * str_digits_limit
+        code, out = run(capsys, "dims", "--group", "o", "--N", "2", str(level + 1))
+        assert (code, out) == (4, "")
+
+    def test_limit_is_exact_for_words_at_n2(self, capsys, str_digits_limit):
+        # the word a^k has dimension 2**k at N = 2
+        k = math.ceil(str_digits_limit / math.log10(2))
+        assert 2 ** (k - 1) < 10**str_digits_limit <= 2**k
+        code, record = run_json(capsys, "dims", "--group", "u", "--N", "2", "a" * (k - 1))
+        assert code == 0
+        assert record["rows"][0]["dimension"] == str(2 ** (k - 1))
+        code, out = run(capsys, "dims", "--group", "u", "--N", "2", "a" * k)
+        assert (code, out) == (4, "")
+
+    def test_limit_at_an_n_past_a_double(self, capsys, str_digits_limit):
+        # u_10(N) has 4,000 digits and u_11(N) 4,400 at N = 10**400
+        N = str(10**400)
+        code, record = run_json(capsys, "dims", "--group", "o", "--N", N, "0", "1", "10")
+        assert code == 0
+        assert [row["dimension"] for row in record["rows"]][:2] == ["1", N]
+        assert len(record["rows"][2]["dimension"]) == 4000
+        code, out = run(capsys, "dims", "--group", "o", "--N", N, "0", "1", "10", "11")
+        assert (code, out) == (4, "")
+
     def test_follows_the_interpreter_limit(self, capsys, str_digits_limit):
         assert run(capsys, "dims", "--group", "o", "--N", "3", "10300")[0] == 4
         sys.set_int_max_str_digits(5000)
@@ -661,8 +690,9 @@ class TestDimensionDigits:
         ("dims --group o --N 3 100000000", 4),
         ("dims --group o --N 3 " + "9" * 400, 4),
         ("dims --group o --N 2 1000000000", 0),
+        ("dims --group o --N 2 " + " ".join(d * 4299 for d in "987"), 0),
     ], ids=["o-3-10300", "o-8-4800", "u-3-a30000", "fuse-o-3-6000-6000", "o-3-1e8",
-            "o-3-400-digits", "o-2-1e9"])
+            "o-3-400-digits", "o-2-1e9", "o-2-three-4299-digits"])
     def test_exit_code_within_wall_time(self, capsys, str_digits_limit, argv, code):
         start = time.perf_counter()
         result = cli.main(argv.split())

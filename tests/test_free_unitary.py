@@ -16,7 +16,6 @@ from freeqg import (
     fuse_unitary_many,
     involution,
     word_parse,
-    words_of_length,
 )
 
 words = st.text(alphabet="ab", max_size=12)
@@ -227,5 +226,4 @@ class TestDimCheckFusion:
         assert dim_check_fusion_unitary(g, h, N)
 
     def test_word_count_sanity(self):
-        assert len(list(words_of_length(5))) == 32
         assert len(list(all_words(10))) == 2047

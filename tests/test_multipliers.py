@@ -669,6 +669,15 @@ class TestTruncatedCoeffs:
             MultiplierCoeffs(group, entries, t=2.5, N=3)
         assert f"coefficient at {bad!r} is {entries[bad]}, outside (0, 1]" == str(info.value)
 
+    @pytest.mark.parametrize("group,entries", [
+        ("o", {0: 0.5, 1: 0.25}),
+        ("u", {"": 0.5, "a": 0.25}),
+    ], ids=["level-0", "unit-word"])
+    def test_trivial_label_reads_exactly_1(self, group, entries):
+        with pytest.raises(DomainError) as info:
+            MultiplierCoeffs(group, entries, t=2.5, N=3)
+        assert str(info.value) == "trivial-label coefficient must be exactly 1, got 0.5"
+
     def test_values_at_the_ends_of_the_range(self):
         entries = {0: 1.0, 1: 1.0 + 1e-12, 2: 5e-324, 3: Fraction(1, 2), 4: np.float64(0.25)}
         assert MultiplierCoeffs("o", entries, t=2.5, N=3).entries == entries
@@ -772,7 +781,3 @@ class TestGroup:
         with pytest.raises(DomainError) as info:
             Group.coerce(value)
         assert str(info.value) == f"unknown group {value!r}; expected 'o' or 'u'"
-
-    def test_trivial_labels(self):
-        assert Group.ORTH.trivial_label == 0
-        assert Group.UNIT.trivial_label == ""
